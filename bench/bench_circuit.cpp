@@ -122,8 +122,10 @@ void report() {
                     static_cast<double>(stats.steps_accepted));
   }
   benchutil::footnote(
-      "hysteretic devices converge in a handful of iterations per step "
-      "because the companion model linearises around the committed state.");
+      "the hysteretic rows need an order of magnitude more Newton iterations "
+      "per step than the linear ladder: the cores' central-difference slope "
+      "spans steps of the quantised timeless-JA curve, so Newton converges "
+      "like a chord method, and a rejected step retries at dt/4.");
 }
 
 void bm_ja_inductor_cycle(benchmark::State& state) {

@@ -20,7 +20,6 @@
 
 #include "bench_common.hpp"
 #include "core/batch_runner.hpp"
-#include "core/result_sink.hpp"
 #include "mag/ja_params.hpp"
 #include "wave/sweep.hpp"
 

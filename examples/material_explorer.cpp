@@ -18,7 +18,6 @@
 #include <cstring>
 
 #include "core/batch_runner.hpp"
-#include "core/result_sink.hpp"
 #include "core/stream_sinks.hpp"
 #include "mag/ja_params.hpp"
 #include "mag/timeless_ja_batch.hpp"

@@ -11,7 +11,6 @@
 #include <cstdio>
 
 #include "core/batch_runner.hpp"
-#include "core/result_sink.hpp"
 #include "mag/thermal.hpp"
 #include "util/stream_writer.hpp"
 #include "wave/sweep.hpp"

@@ -28,56 +28,79 @@ std::size_t layout_unknowns(Circuit& circuit) {
   return false;
 }
 
-/// One Newton (successive-linearisation) solve at fixed (t, dt).
-/// `x` carries the initial iterate in and the solution out. Used whole for
-/// the DC analyses; the transient path runs the identical per-iteration body
-/// inside TransientMachine::advance() so corners can interleave.
-bool solve_point(Circuit& circuit, EvalContext ctx, const EngineOptions& options,
-                 std::vector<double>& x, CircuitStats* stats) {
-  const std::size_t n = x.size();
+/// What one Newton iteration concluded.
+enum class NewtonStep {
+  kSingular,  ///< the MNA matrix did not factor; the iterate is untouched
+  kMoved,     ///< some unknown moved beyond its tolerance
+  kSettled,   ///< every unknown moved within its tolerance
+};
+
+/// Sizes `work` for `n` unknowns.
+void size_workspace(NewtonWorkspace& work, std::size_t n) {
+  work.a.resize(n, n);
+  work.z.assign(n, 0.0);
+  work.x_new.assign(n, 0.0);
+}
+
+/// One Newton (successive-linearisation) iteration at fixed (t, dt): stamps
+/// every device at the iterate `x`, adds gmin from every node to ground,
+/// LU-solves, and replaces `x` with the solution. The one body both the DC
+/// solve and TransientMachine::advance() run.
+NewtonStep newton_iteration(Circuit& circuit, EvalContext& ctx,
+                            const EngineOptions& options,
+                            std::vector<double>& x, NewtonWorkspace& work,
+                            CircuitStats* stats) {
   const std::size_t nodes = circuit.node_count();
+  work.a.fill(0.0);
+  std::fill(work.z.begin(), work.z.end(), 0.0);
+  ctx.x = x;
+
+  Stamper stamper(work.a, work.z, x, nodes);
+  for (const auto& device : circuit.devices()) {
+    device->stamp(stamper, ctx);
+  }
+  for (std::size_t i = 0; i < nodes; ++i) {
+    work.a.at(i, i) += options.gmin;
+  }
+
+  if (!work.lu.factor(work.a)) {
+    util::log_warning("ckt.engine", "singular MNA matrix");
+    return NewtonStep::kSingular;
+  }
+  work.lu.solve(work.z, work.x_new);
+  if (stats) ++stats->newton_iterations;
+
+  // Convergence: voltages and currents checked against their own
+  // tolerances (SPICE reltol simplified to absolute tolerances here).
+  bool converged = true;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double tol = i < nodes ? options.v_tolerance : options.i_tolerance;
+    const double scale = 1.0 + std::fabs(work.x_new[i]) * 1e-3 / tol;
+    if (std::fabs(work.x_new[i] - x[i]) > tol * scale) {
+      converged = false;
+      break;
+    }
+  }
+  std::copy(work.x_new.begin(), work.x_new.end(), x.begin());
+  return converged ? NewtonStep::kSettled : NewtonStep::kMoved;
+}
+
+/// Iterates newton_iteration at a fixed point until it settles. A nonlinear
+/// circuit must settle on a second or later iteration; a linear one is done
+/// after its single solve. `x` carries the initial iterate in and the
+/// solution out.
+bool solve_point(Circuit& circuit, EvalContext ctx, const EngineOptions& options,
+                 std::vector<double>& x, NewtonWorkspace& work,
+                 CircuitStats* stats) {
   const bool needs_iteration = any_nonlinear(circuit);
-
-  ams::Matrix a(n, n);
-  std::vector<double> z(n, 0.0);
-  std::vector<double> x_new(n, 0.0);
-  ams::LuSolver lu;
-
   const int max_iters = needs_iteration ? options.max_newton_iterations : 1;
   for (int iter = 0; iter < max_iters; ++iter) {
-    a.fill(0.0);
-    std::fill(z.begin(), z.end(), 0.0);
-    ctx.x = x;
-
-    Stamper stamper(a, z, x, nodes);
-    for (const auto& device : circuit.devices()) {
-      device->stamp(stamper, ctx);
+    const NewtonStep step =
+        newton_iteration(circuit, ctx, options, x, work, stats);
+    if (step == NewtonStep::kSingular) return false;
+    if (step == NewtonStep::kSettled && (!needs_iteration || iter > 0)) {
+      return true;
     }
-    // gmin from every node to ground.
-    for (std::size_t i = 0; i < nodes; ++i) {
-      a.at(i, i) += options.gmin;
-    }
-
-    if (!lu.factor(a)) {
-      util::log_warning("ckt.engine", "singular MNA matrix");
-      return false;
-    }
-    lu.solve(z, x_new);
-    if (stats) ++stats->newton_iterations;
-
-    // Convergence: voltages and currents checked against their own
-    // tolerances (SPICE reltol simplified to absolute tolerances here).
-    bool converged = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double tol = i < nodes ? options.v_tolerance : options.i_tolerance;
-      const double scale = 1.0 + std::fabs(x_new[i]) * 1e-3 / tol;
-      if (std::fabs(x_new[i] - x[i]) > tol * scale) {
-        converged = false;
-        break;
-      }
-    }
-    x = x_new;
-    if (converged && (needs_iteration ? iter > 0 : true)) return true;
   }
   return !needs_iteration;
 }
@@ -115,12 +138,14 @@ core::Error solve_dc(Circuit& circuit, std::vector<double>& x,
   const std::size_t n = layout_unknowns(circuit);
   x.assign(n, 0.0);
 
+  NewtonWorkspace work;
+  size_workspace(work, n);
   EvalContext ctx;
   ctx.dc = true;
   ctx.t = 0.0;
   ctx.dt = 0.0;
   ctx.node_count = circuit.node_count();
-  if (!solve_point(circuit, ctx, options, x, stats)) {
+  if (!solve_point(circuit, ctx, options, x, work, stats)) {
     return core::make_error(core::ErrorCode::kSolverDiverged,
                             "DC operating point did not converge");
   }
@@ -140,9 +165,7 @@ TransientMachine::TransientMachine(Circuit& circuit,
   nodes_ = circuit_.node_count();
   x_.assign(n, 0.0);
   x_trial_.assign(n, 0.0);
-  x_new_.assign(n, 0.0);
-  z_.assign(n, 0.0);
-  a_.resize(n, n);
+  size_workspace(work_, n);
 
   needs_iteration_ = any_nonlinear(circuit_);
   max_iters_ = needs_iteration_ ? options_.engine.max_newton_iterations : 1;
@@ -151,7 +174,7 @@ TransientMachine::TransientMachine(Circuit& circuit,
   EvalContext dc_ctx;
   dc_ctx.dc = true;
   dc_ctx.node_count = nodes_;
-  if (!solve_point(circuit_, dc_ctx, options_.engine, x_, stats_)) {
+  if (!solve_point(circuit_, dc_ctx, options_.engine, x_, work_, stats_)) {
     ++stats_->hard_failures;
     if (error_.ok()) {
       error_ = core::make_error(core::ErrorCode::kSolverDiverged,
@@ -243,44 +266,19 @@ void TransientMachine::reject_step() {
 void TransientMachine::advance() {
   if (done_) return;
 
-  // One Newton iteration at the pending iterate — the exact per-iteration
-  // body of solve_point() above (same operations, same order, so the
-  // machine-driven transient is bitwise identical to the one-shot solve).
-  a_.fill(0.0);
-  std::fill(z_.begin(), z_.end(), 0.0);
-  ctx_.x = x_trial_;
-
-  Stamper stamper(a_, z_, x_trial_, nodes_);
-  for (const auto& device : circuit_.devices()) {
-    device->stamp(stamper, ctx_);
-  }
-  for (std::size_t i = 0; i < nodes_; ++i) {
-    a_.at(i, i) += options_.engine.gmin;
-  }
-
-  if (!lu_.factor(a_)) {
-    util::log_warning("ckt.engine", "singular MNA matrix");
-    reject_step();
-    return;
-  }
-  lu_.solve(z_, x_new_);
-  ++stats_->newton_iterations;
-
-  bool converged = true;
-  for (std::size_t i = 0; i < x_new_.size(); ++i) {
-    const double tol = i < nodes_ ? options_.engine.v_tolerance
-                                  : options_.engine.i_tolerance;
-    const double scale = 1.0 + std::fabs(x_new_[i]) * 1e-3 / tol;
-    if (std::fabs(x_new_[i] - x_trial_[i]) > tol * scale) {
-      converged = false;
+  switch (newton_iteration(circuit_, ctx_, options_.engine, x_trial_, work_,
+                           stats_)) {
+    case NewtonStep::kSingular:
+      reject_step();
+      return;
+    case NewtonStep::kSettled:
+      if (!needs_iteration_ || iter_ > 0) {
+        accept_step();
+        return;
+      }
       break;
-    }
-  }
-  std::copy(x_new_.begin(), x_new_.end(), x_trial_.begin());
-
-  if (converged && (needs_iteration_ ? iter_ > 0 : true)) {
-    accept_step();
-    return;
+    case NewtonStep::kMoved:
+      break;
   }
   ++iter_;
   if (iter_ >= max_iters_) {
@@ -302,16 +300,6 @@ core::Error run_transient(Circuit& circuit, const TransientOptions& options,
   TransientMachine machine(circuit, options, on_accept, stats, &gate);
   while (!machine.done()) machine.advance();
   return machine.error();
-}
-
-bool dc_operating_point(Circuit& circuit, std::vector<double>& x,
-                        const EngineOptions& options, CircuitStats* stats) {
-  return solve_dc(circuit, x, options, stats).ok();
-}
-
-bool transient(Circuit& circuit, const TransientOptions& options,
-               const SolutionCallback& on_accept, CircuitStats* stats) {
-  return run_transient(circuit, options, on_accept, stats).ok();
 }
 
 }  // namespace ferro::ckt

@@ -9,13 +9,16 @@
 //   * run_transient()/solve_dc() — the structured API: options validated up
 //     front (core::ErrorCode::kInvalidScenario), Newton non-convergence and
 //     dt-collapse latched as kSolverDiverged, RunLimits honoured as
-//     kCancelled/kDeadlineExceeded. The legacy bool entry points remain as
-//     deprecated shims.
-//   * TransientMachine — the same transient loop decomposed into one Newton
-//     iteration per advance() call, bitwise identical to run_transient()
-//     (which is implemented on top of it). This is the seam the circuit
-//     Monte-Carlo uses to step many corners in lockstep and evaluate their
-//     JaInductor cores as one SoA batch per iteration.
+//     kCancelled/kDeadlineExceeded.
+//   * TransientMachine — the transient loop decomposed into one Newton
+//     iteration per advance() call; run_transient() is implemented on top of
+//     it. This is the seam the circuit Monte-Carlo uses to step many corners
+//     in lockstep and evaluate their JaInductor cores as one SoA batch per
+//     iteration.
+//
+// Every Newton iteration — the DC solve's and the transient's — runs the
+// same body in engine.cpp (stamp, gmin, LU factor + solve, convergence
+// test), so the DC point and each transient step cannot drift apart.
 #pragma once
 
 #include <cstdint>
@@ -97,13 +100,22 @@ using SolutionCallback = std::function<void(const Solution&)>;
 ///     as before — the error reports that its accuracy is compromised);
 ///   * kCancelled / kDeadlineExceeded — `limits` stopped the run at a step
 ///     boundary; the waveform up to that point was delivered;
-///   * Error{} (ok) — clean run. stats->hard_failures mirrors the
-///     kSolverDiverged cases for callers migrating off the bool API.
+///   * Error{} (ok) — clean run. stats->hard_failures counts the
+///     kSolverDiverged cases.
 [[nodiscard]] core::Error run_transient(Circuit& circuit,
                                         const TransientOptions& options,
                                         const SolutionCallback& on_accept,
                                         CircuitStats* stats = nullptr,
                                         const core::RunLimits& limits = {});
+
+/// Scratch of one Newton iteration, sized to the unknown count: the MNA
+/// matrix and right-hand side, the next iterate, and the LU factors.
+struct NewtonWorkspace {
+  ams::Matrix a;
+  std::vector<double> z;
+  std::vector<double> x_new;
+  ams::LuSolver lu;
+};
 
 /// The adaptive transient loop as an externally-stepped state machine: the
 /// constructor performs unknown layout, the DC solve, the DC commit, and the
@@ -178,22 +190,7 @@ class TransientMachine {
   EvalContext ctx_;
   std::vector<double> x_;        ///< last accepted solution
   std::vector<double> x_trial_;  ///< current Newton iterate
-  std::vector<double> x_new_;
-  std::vector<double> z_;
-  ams::Matrix a_;
-  ams::LuSolver lu_;
+  NewtonWorkspace work_;
 };
-
-/// Deprecated bool shims (pre-PR-10 API). They now route through the
-/// structured entry points, so invalid options return false without running
-/// (previously they ran with silently clamped values).
-[[deprecated("use solve_dc(), which reports a structured core::Error")]]
-bool dc_operating_point(Circuit& circuit, std::vector<double>& x,
-                        const EngineOptions& options = {},
-                        CircuitStats* stats = nullptr);
-
-[[deprecated("use run_transient(), which reports a structured core::Error")]]
-bool transient(Circuit& circuit, const TransientOptions& options,
-               const SolutionCallback& on_accept, CircuitStats* stats = nullptr);
 
 }  // namespace ferro::ckt

@@ -131,16 +131,10 @@ struct MonteCarloOptions {
   std::size_t queue_capacity = 0;
 };
 
-/// Outcome of a streaming sweep: the batch verdict plus sink accounting,
-/// mirroring core::StreamSummary. delivered + discarded covers every corner.
-struct McStreamSummary {
+/// Outcome of a streaming sweep: the shared delivery counters (delivered +
+/// discarded_deliveries covers every corner) plus the batch verdict.
+struct McStreamSummary : core::DeliveryCounters {
   core::BatchReport batch;
-  std::size_t delivered = 0;
-  std::size_t discarded_deliveries = 0;
-  std::size_t sink_error_count = 0;
-  core::Error sink_error;  ///< first sink/hand-off failure; kOk when clean
-
-  [[nodiscard]] bool ok() const { return sink_error.ok(); }
 };
 
 class MonteCarlo {
@@ -155,8 +149,10 @@ class MonteCarlo {
       const MonteCarloOptions& options, core::BatchReport* report = nullptr) const;
 
   /// Streaming path: results are delivered to `sink` as corners finish
-  /// (bounded memory). Serial sweeps drive the sink inline; parallel sweeps
-  /// hand results to one consumer thread through a bounded queue.
+  /// (bounded memory) through core::stream_batch, the delivery loop the
+  /// scenario BatchRunner uses: serial sweeps drive the sink inline,
+  /// parallel sweeps hand results to one consumer thread through a bounded
+  /// queue.
   McStreamSummary run(const MonteCarloOptions& options, CornerSink& sink) const;
 
  private:

@@ -2,9 +2,7 @@
 // across a persistent work-stealing thread pool, either collecting BH
 // curves plus loop metrics in deterministic job order or streaming them to
 // a ResultSink while workers are still computing. One entry-point family:
-// run(scenarios[, sink], RunOptions{packing, limits, stream}); the
-// pre-redesign run_packed/run_streaming/run_packed_streaming overloads
-// survive as deprecated shims.
+// run(scenarios[, sink], RunOptions{packing, limits, stream, isolation}).
 //
 // Each scenario is an independent simulation (the frontends share no mutable
 // state): result index i always corresponds to scenarios[i] and the payload
@@ -12,7 +10,7 @@
 // fallback. Failures (invalid parameters, a throwing solver) are captured
 // per job as structured core::Error codes instead of aborting the batch.
 //
-// Fault tolerance (core/cancel.hpp): every run variant accepts RunLimits —
+// Fault tolerance (core/cancel.hpp): every run overload accepts RunLimits —
 // a shared CancelToken, a wall-clock deadline, and an error budget. The
 // limits are polled at chunk boundaries; when one fires the batch drains
 // gracefully: in-flight scenarios finish, every unfinished scenario is
@@ -23,18 +21,18 @@
 // garbage demotes to a per-scenario kNonFinite error (or a clean scalar
 // result), never a poisoned "success".
 //
-// The streaming path decouples production from consumption with a bounded
-// MPSC queue (core/result_queue.hpp): workers push results as they finish,
-// one consumer thread drives the sink serially, and a slow sink
-// backpressures the workers instead of buffering unboundedly. Results ARRIVE
-// in scheduling order but each carries its scenario index; wrap the sink in
-// OrderedSink (core/result_sink.hpp) to recover exactly run()'s order. A
-// sink callback that throws does not tear down the pool: the batch drains,
+// The streaming path is core::stream_batch (core/stream.hpp), the delivery
+// loop ckt::MonteCarlo shares: workers push results into a bounded MPSC
+// queue as they finish, one consumer thread drives the sink serially, and a
+// slow sink backpressures the workers instead of buffering unboundedly.
+// Results ARRIVE in scheduling order but each carries its scenario index;
+// wrap the sink in OrderedSink to recover exactly run()'s order. A sink
+// callback that throws does not tear down the pool: the batch drains,
 // that one delivery is discarded, later results are still offered, and the
 // first error (plus counters) lands in the returned StreamSummary.
 //
 // The pool (core/thread_pool.hpp) is constructed lazily on the first
-// multi-threaded run and reused across all run variants, so sweeping many
+// multi-threaded run and reused across all run overloads, so sweeping many
 // batches through one runner pays thread start-up exactly once.
 // Packing::kExact/kFast additionally route scenarios through a two-stage
 // plan/execute pipeline (core/frontend_plan.hpp): stage 1 turns each
@@ -51,20 +49,30 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "core/cancel.hpp"
 #include "core/error.hpp"
-#include "core/result_sink.hpp"
 #include "core/scenario.hpp"
 #include "core/shard_executor.hpp"
+#include "core/stream.hpp"
 #include "core/thread_pool.hpp"
 #include "mag/timeless_ja_batch.hpp"
 
 namespace ferro::core {
+
+// The ScenarioResult instantiations of core/stream.hpp's streaming
+// machinery (the sink contract is documented on the templates).
+using ResultSink = BasicResultSink<ScenarioResult>;
+using OrderedSink = BasicOrderedSink<ScenarioResult>;
+using CollectingSink = BasicCollectingSink<ScenarioResult>;
+using StreamCallbacks = BasicStreamCallbacks<ScenarioResult>;
+using CallbackSink = BasicCallbackSink<ScenarioResult>;
+using TeeSink = BasicTeeSink<ScenarioResult>;
+using StreamItem = BasicStreamItem<ScenarioResult>;
+using ResultQueue = BasicResultQueue<ScenarioResult>;
 
 struct BatchOptions {
   /// Worker count: 0 picks std::thread::hardware_concurrency(); 1 runs every
@@ -85,8 +93,7 @@ enum class Packing {
   kFast,
 };
 
-/// The packing a mag::BatchMath selection maps onto (the pre-RunOptions
-/// run_packed overloads took the kernel enum directly).
+/// The packing a mag::BatchMath selection maps onto.
 [[nodiscard]] constexpr Packing packing_for(mag::BatchMath math) {
   return math == mag::BatchMath::kFast ? Packing::kFast : Packing::kExact;
 }
@@ -98,35 +105,21 @@ struct StreamOptions {
   std::size_t queue_capacity = 0;
 };
 
-/// What the streaming paths report back. Invariant: delivered +
-/// discarded_deliveries always equals the scenario count — a result is
-/// discarded (never silently dropped elsewhere) only when its own delivery
-/// failed, when on_start threw (the sink was never initialised, so every
-/// delivery is withheld), or when its queue hand-off failed.
-struct StreamSummary {
-  std::size_t delivered = 0;  ///< on_result calls that returned normally
-  /// Results withheld from or refused by the sink (see invariant above).
-  std::size_t discarded_deliveries = 0;
+/// What the streaming overload reports back: the shared delivery counters
+/// (delivered + discarded_deliveries covers every scenario) plus the
+/// scenario-batch verdict.
+struct StreamSummary : DeliveryCounters {
   std::size_t failed_jobs = 0;     ///< results carrying a per-job error
   std::size_t cancelled_jobs = 0;  ///< kCancelled/kDeadlineExceeded results
   std::size_t quarantined = 0;     ///< packed lanes retried via the exact path
-  /// Sink callbacks (on_start/on_result/on_complete) that threw — tells
-  /// "one hiccup" (1, and delivery continued) from "the sink kept failing".
-  std::size_t sink_error_count = 0;
-  /// First pipeline failure: kSinkError for a throwing sink callback,
-  /// kInternal for a failed queue hand-off. kOk when the stream was clean.
-  Error sink_error;
   /// Why the batch stopped early (kCancelled/kDeadlineExceeded — the same
   /// code stamped on every unfinished scenario); kOk when it ran out.
   Error stop;
-
-  [[nodiscard]] bool ok() const { return sink_error.ok(); }
 };
 
-/// Everything one batch execution can be configured with. The pre-redesign
-/// overload sprawl (run/run_packed/run_streaming/run_packed_streaming, each
-/// times a limits variant) collapsed into this: pick a Packing, attach
-/// RunLimits, and — for the streaming overload — size the queue.
+/// Everything one batch execution can be configured with: pick a Packing,
+/// attach RunLimits, choose the isolation, and — for the streaming overload
+/// — size the queue.
 struct RunOptions {
   Packing packing = Packing::kNone;
   /// Fault-tolerance limits: shared CancelToken, wall-clock deadline, error
@@ -176,8 +169,8 @@ class BatchRunner {
       const std::vector<Scenario>& scenarios, const RunOptions& options,
       BatchReport* report = nullptr) const;
 
-  /// Streaming twin: delivers every scenario's result to `sink` as it
-  /// completes (see the header comment and ResultSink for the full
+  /// Streaming overload: delivers every scenario's result to `sink` as it
+  /// completes (see the header comment and core/stream.hpp for the full
   /// contract). The payload delivered for scenario i is bitwise identical
   /// to the collecting overload's [i] under the same options; only the
   /// arrival order is scheduling-dependent. Blocks until the batch has
@@ -185,46 +178,7 @@ class BatchRunner {
   StreamSummary run(const std::vector<Scenario>& scenarios, ResultSink& sink,
                     const RunOptions& options = {}) const;
 
-  // -- Deprecated pre-RunOptions entry points (thin shims) -----------------
-
-  [[deprecated("use run(scenarios, RunOptions{.limits = ...}, report)")]]
-  [[nodiscard]] std::vector<ScenarioResult> run(
-      const std::vector<Scenario>& scenarios, const RunLimits& limits,
-      BatchReport* report = nullptr) const {
-    return run(scenarios, RunOptions{Packing::kNone, limits, {}}, report);
-  }
-
-  [[deprecated("use run(scenarios, RunOptions{.packing = ...})")]]
-  [[nodiscard]] std::vector<ScenarioResult> run_packed(
-      const std::vector<Scenario>& scenarios,
-      mag::BatchMath math = mag::BatchMath::kExact) const {
-    return run(scenarios, RunOptions{packing_for(math), {}, {}}, nullptr);
-  }
-
-  [[deprecated("use run(scenarios, RunOptions{.packing = ..., .limits = ...})")]]
-  [[nodiscard]] std::vector<ScenarioResult> run_packed(
-      const std::vector<Scenario>& scenarios, mag::BatchMath math,
-      const RunLimits& limits, BatchReport* report = nullptr) const {
-    return run(scenarios, RunOptions{packing_for(math), limits, {}}, report);
-  }
-
-  [[deprecated("use run(scenarios, sink, RunOptions{...})")]]
-  StreamSummary run_streaming(const std::vector<Scenario>& scenarios,
-                              ResultSink& sink,
-                              const StreamOptions& stream = {},
-                              const RunLimits& limits = {}) const {
-    return run(scenarios, sink, RunOptions{Packing::kNone, limits, stream});
-  }
-
-  [[deprecated("use run(scenarios, sink, RunOptions{.packing = ...})")]]
-  StreamSummary run_packed_streaming(
-      const std::vector<Scenario>& scenarios, ResultSink& sink,
-      mag::BatchMath math = mag::BatchMath::kExact,
-      const StreamOptions& stream = {}, const RunLimits& limits = {}) const {
-    return run(scenarios, sink, RunOptions{packing_for(math), limits, stream});
-  }
-
-  /// True when run_packed() would route `scenario` through the SoA kernel.
+  /// True when a packed run() would route `scenario` through a SoA kernel.
   [[nodiscard]] static bool packable(const Scenario& scenario);
 
   /// The worker count `run` would use for `n_jobs` jobs (never more threads
@@ -234,31 +188,28 @@ class BatchRunner {
   [[nodiscard]] const BatchOptions& options() const { return options_; }
 
  private:
-  /// Thread-safe result hand-off: slot writes for the collect paths, queue
-  /// pushes for the streaming paths. Receives each scenario index exactly
-  /// once; callers on the parallel path must tolerate concurrent invocation.
-  using EmitFn = std::function<void(std::size_t, ScenarioResult&&)>;
+  /// Thread-safe result hand-off: slot writes for the collect overload,
+  /// core::stream_batch's emit for the streaming one.
+  using EmitFn = core::EmitFn<ScenarioResult>;
 
-  /// Per-scenario dispatch (the run()/run_streaming work distribution).
+  /// Per-scenario dispatch (the Packing::kNone work distribution).
   /// `gate` is polled per scenario; once it stops, remaining scenarios are
   /// emitted with its verdict instead of computed.
   void dispatch(const std::vector<Scenario>& scenarios, const EmitFn& emit,
                 RunGate& gate) const;
 
   /// Packed dispatch: SoA lane blocks fused with per-scenario fallback jobs
-  /// (the run_packed()/run_packed_streaming work distribution). `gate` is
+  /// (the Packing::kExact/kFast work distribution). `gate` is
   /// polled per work unit (fallback job / lane block / trajectory solve).
   void dispatch_packed(const std::vector<Scenario>& scenarios,
                        mag::BatchMath math, const EmitFn& emit,
                        RunGate& gate) const;
 
-  /// Shared streaming shell: drives `sink` from a single consumer thread fed
-  /// by a bounded queue (or inline when the batch runs serially), with sink
-  /// exceptions captured into the summary.
-  StreamSummary stream_shell(
-      std::size_t n_jobs, ResultSink& sink, const StreamOptions& stream,
-      RunGate& gate,
-      const std::function<void(const EmitFn&)>& dispatch_fn) const;
+  /// Routes one batch to the executor `options` select: the shard
+  /// executor, dispatch, or dispatch_packed.
+  void execute(const std::vector<Scenario>& scenarios,
+               const RunOptions& options, const EmitFn& emit,
+               RunGate& gate) const;
 
   /// The persistent pool, created on first use and reused for the runner's
   /// lifetime. Sized from options().threads (0 = hardware concurrency),

@@ -39,8 +39,9 @@ namespace ferro::core {
 /// a poison scenario deterministically poisonous across retries, respawns,
 /// and bisection.
 enum class FaultSite {
-  kSinkDeliver,      ///< SinkDriver: around each ResultSink::on_result
-  kQueuePush,        ///< ResultQueue::push (worker -> consumer hand-off)
+  kSinkDeliver,      ///< core::stream_batch: around each sink on_result
+                     ///< (scenario and Monte-Carlo corner streams alike)
+  kQueuePush,        ///< BasicResultQueue::push (worker -> consumer hand-off)
   kLaneCompute,      ///< packed lane result assembly (per lane)
   kTrajectorySolve,  ///< FrontendPlanSet::solve_trajectory (per job)
   kWorkerCrash,      ///< worker loop, before a scenario runs (arm kAbort)

@@ -2,9 +2,9 @@
 // (material, discretisation, excitation, frontend) simulation and name its
 // result, plus run_scenario(), the serial kernel BatchRunner fans out.
 //
-// Split out of batch_runner.hpp so the streaming layers (core/result_queue,
-// core/result_sink, core/stream_sinks) can speak ScenarioResult without
-// depending on the runner itself.
+// Split out of batch_runner.hpp so the layers under the runner (the plan
+// stage, the wire format, the shard executor) can speak ScenarioResult
+// without depending on the runner itself.
 #pragma once
 
 #include <cstddef>

@@ -14,6 +14,7 @@
 
 #include "core/fault_injection.hpp"
 #include "core/subprocess.hpp"
+#include "core/thread_pool.hpp"
 #include "core/wire.hpp"
 
 namespace ferro::core {
@@ -602,13 +603,7 @@ class Supervisor {
 ShardExecutor::ShardExecutor(ShardOptions options) : options_(options) {}
 
 unsigned ShardExecutor::resolved_workers(std::size_t n_jobs) const {
-  unsigned workers = options_.workers;
-  if (workers == 0) {
-    workers = std::thread::hardware_concurrency();
-    if (workers == 0) workers = 1;
-  }
-  if (n_jobs < workers) workers = static_cast<unsigned>(n_jobs);
-  return std::max(workers, 1u);
+  return resolve_workers(options_.workers, n_jobs);
 }
 
 std::size_t ShardExecutor::resolved_shard_size(std::size_t n_jobs) const {

@@ -1,10 +1,10 @@
 // Generic streaming result machinery: the sink contract, the stock sink
-// adapters, and the bounded MPSC hand-off queue, templated on the result
-// type so every batch engine in the repo delivers through the same
-// plumbing. `core::ResultSink`/`core::ResultQueue` (result_sink.hpp /
-// result_queue.hpp) are the ScenarioResult instantiations BatchRunner
-// speaks; ckt::MonteCarlo instantiates the same templates over its
-// CornerResult so a 10k-corner sweep streams with identical semantics.
+// adapters, the bounded MPSC hand-off queue, and the one delivery loop
+// (stream_batch), all templated on the result type so every batch engine in
+// the repo delivers through the same plumbing. core::BatchRunner speaks the
+// ScenarioResult instantiations (`core::ResultSink` & co., aliased in
+// batch_runner.hpp); ckt::MonteCarlo instantiates the same templates over
+// its CornerResult so a 10k-corner sweep streams with identical semantics.
 //
 // Sink contract (what every streaming driver guarantees a sink):
 //   * on_start(total) once, then zero or more on_result calls, then
@@ -32,12 +32,16 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <map>
 #include <mutex>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/error.hpp"
 #include "core/fault_injection.hpp"
 
 namespace ferro::core {
@@ -287,5 +291,153 @@ class BasicResultQueue {
   std::size_t high_water_ = 0;
   bool closed_ = false;
 };
+
+/// The delivery accounting every stream reports. Invariant:
+/// delivered + discarded_deliveries always equals the job count — a result
+/// is discarded (never silently dropped elsewhere) only when its own delivery
+/// failed, when on_start threw (the sink was never initialised, so every
+/// delivery is withheld), or when its queue hand-off failed.
+struct DeliveryCounters {
+  std::size_t delivered = 0;  ///< on_result calls that returned normally
+  /// Results withheld from or refused by the sink (see invariant above).
+  std::size_t discarded_deliveries = 0;
+  /// Sink callbacks (on_start/on_result/on_complete) that threw — tells
+  /// "one hiccup" (1, and delivery continued) from "the sink kept failing".
+  std::size_t sink_error_count = 0;
+  /// First pipeline failure: kSinkError for a throwing sink callback,
+  /// kInternal for a failed queue hand-off. kOk when the stream was clean.
+  Error sink_error;
+
+  [[nodiscard]] bool ok() const { return sink_error.ok(); }
+};
+
+/// Thread-safe result hand-off from a batch engine's dispatch: receives each
+/// job index exactly once, possibly concurrently from several workers.
+template <typename R>
+using EmitFn = std::function<void(std::size_t, R&&)>;
+
+namespace detail {
+
+/// Runs one sink callback; a throw is booked into `counters` as kSinkError
+/// instead of propagating. Returns whether the callback returned normally.
+template <typename Fn>
+bool guard_sink(DeliveryCounters& counters, const Fn& fn) {
+  std::string detail;
+  try {
+    fn();
+    return true;
+  } catch (const std::exception& e) {
+    detail = e.what();
+  } catch (...) {
+    detail = "unknown exception from sink";
+  }
+  ++counters.sink_error_count;
+  if (counters.sink_error.ok()) {
+    counters.sink_error = {ErrorCode::kSinkError, std::move(detail)};
+  }
+  return false;
+}
+
+}  // namespace detail
+
+/// The delivery loop both batch engines share: calls `dispatch(emit)` —
+/// which must emit every index in [0, total) exactly once — and delivers the
+/// results to `sink` under the contract above, booking the outcome into
+/// `counters`. `observe(result)` runs on the delivering thread just before
+/// each delivery attempt (engine-specific tallies).
+///
+/// With `threads` <= 1 the dispatch runs in this thread, so the sink is
+/// driven inline — no queue, no consumer thread, same contract. Otherwise
+/// workers push into a BasicResultQueue of `queue_capacity` (0 = twice the
+/// worker count) and one consumer thread drains it for the whole batch. A
+/// failed hand-off (only possible through fault injection or allocation
+/// death inside push) loses that result but never unwinds a pool worker: it
+/// is counted as discarded, with a kInternal sink_error. If `dispatch` itself
+/// throws, the consumer is closed and joined and the exception propagates
+/// without on_complete. An empty batch never calls `dispatch`.
+template <typename R, typename Dispatch, typename Observe>
+void stream_batch(BasicResultSink<R>& sink, std::size_t total,
+                  unsigned threads, std::size_t queue_capacity,
+                  DeliveryCounters& counters, const Dispatch& dispatch,
+                  const Observe& observe) {
+  // An on_result that throws loses THAT delivery only — later results are
+  // still offered — but an on_start that throws withholds every delivery,
+  // because the sink never initialised (e.g. a collecting sink's backing
+  // vector was never sized).
+  const bool started =
+      detail::guard_sink(counters, [&] { sink.on_start(total); });
+  const auto deliver = [&](std::size_t index, R&& result) {
+    observe(result);
+    if (!started) {
+      ++counters.discarded_deliveries;
+      return;
+    }
+    if (detail::guard_sink(counters, [&] {
+          (void)FERRO_FAULT_HIT(FaultSite::kSinkDeliver);
+          sink.on_result(index, std::move(result));
+        })) {
+      ++counters.delivered;
+    } else {
+      ++counters.discarded_deliveries;
+    }
+  };
+
+  if (total != 0 && threads <= 1) {
+    dispatch(EmitFn<R>(deliver));
+  } else if (total != 0) {
+    BasicResultQueue<R> queue(queue_capacity != 0
+                                  ? queue_capacity
+                                  : static_cast<std::size_t>(threads) * 2);
+    std::mutex lost_mutex;  // guards lost_pushes and first_lost
+    std::size_t lost_pushes = 0;
+    Error first_lost;
+
+    // One consumer drains the queue for the whole batch, so the sink sees a
+    // single-threaded, serialised call sequence. It keeps popping even after
+    // a sink error (deliver() then counts that delivery as discarded) —
+    // otherwise workers blocked on a full queue would deadlock the pool.
+    std::thread consumer([&] {
+      BasicStreamItem<R> item;
+      while (queue.pop(item)) deliver(item.index, std::move(item.result));
+    });
+
+    const auto lose = [&](std::string detail) {
+      std::lock_guard<std::mutex> lk(lost_mutex);
+      ++lost_pushes;
+      if (first_lost.ok()) {
+        first_lost = {ErrorCode::kInternal, std::move(detail)};
+      }
+    };
+    // The consumer MUST be closed-and-joined even if dispatch throws (e.g.
+    // lazy pool construction failing under resource exhaustion) — letting a
+    // joinable std::thread unwind calls std::terminate.
+    try {
+      dispatch(EmitFn<R>([&](std::size_t i, R&& r) {
+        try {
+          queue.push(BasicStreamItem<R>{i, std::move(r)});
+        } catch (const std::exception& e) {
+          lose(std::string("result hand-off failed: ") + e.what());
+        } catch (...) {
+          lose("result hand-off failed");
+        }
+      }));
+    } catch (...) {
+      queue.close();
+      consumer.join();
+      throw;
+    }
+
+    queue.close();
+    consumer.join();
+    counters.discarded_deliveries += lost_pushes;
+    if (!first_lost.ok() && counters.sink_error.ok()) {
+      counters.sink_error = std::move(first_lost);
+    }
+  }
+
+  // on_complete always fires, even after earlier sink failures — it's the
+  // sink's chance to close files.
+  (void)detail::guard_sink(counters, [&] { sink.on_complete(); });
+}
 
 }  // namespace ferro::core

@@ -8,9 +8,8 @@ namespace ferro::core {
 namespace {
 
 /// Converts a failed writer into the sink-error channel: the throw is
-/// caught by the streaming shell's SinkDriver, which records kSinkError
-/// (with this message as the detail) in the StreamSummary and counts the
-/// delivery as discarded.
+/// caught by core::stream_batch, which records kSinkError (with this message
+/// as the detail) in the StreamSummary and counts the delivery as discarded.
 template <typename Writer>
 void throw_if_failed(const Writer& writer, const char* sink_name) {
   if (!writer.ok()) {

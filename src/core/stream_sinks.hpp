@@ -16,15 +16,15 @@
 //
 // IO failures are surfaced, not swallowed: when the underlying writer
 // reports an unhealthy stream (ENOSPC, closed descriptor, ...) after a
-// write or flush, the callback throws — which the streaming shell converts
-// into StreamSummary{sink_error = kSinkError with the errno detail,
+// write or flush, the callback throws — which core::stream_batch
+// converts into StreamSummary{sink_error = kSinkError with the errno detail,
 // discarded_deliveries counting every affected result}. A full disk ends
 // as a diagnosed error, never a silently truncated artefact.
 #pragma once
 
 #include <string>
 
-#include "core/result_sink.hpp"
+#include "core/batch_runner.hpp"
 #include "util/stream_writer.hpp"
 
 namespace ferro::core {

@@ -4,6 +4,16 @@
 
 namespace ferro::core {
 
+unsigned resolve_workers(unsigned requested, std::size_t n_jobs) {
+  unsigned workers = requested;
+  if (workers == 0) {
+    workers = std::thread::hardware_concurrency();
+    if (workers == 0) workers = 1;
+  }
+  if (n_jobs < workers) workers = static_cast<unsigned>(n_jobs);
+  return std::max(workers, 1u);
+}
+
 ThreadPool::ThreadPool(unsigned workers) {
   const unsigned total = std::max(workers, 1u);
   deques_.reserve(total);

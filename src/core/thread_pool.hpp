@@ -22,12 +22,20 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace ferro::core {
+
+/// The worker-count rule every fan-out shares: `requested`, or
+/// std::thread::hardware_concurrency() when 0 (1 if that is unknown), capped
+/// at `n_jobs` and never below 1.
+[[nodiscard]] unsigned resolve_workers(
+    unsigned requested,
+    std::size_t n_jobs = std::numeric_limits<std::size_t>::max());
 
 class ThreadPool {
  public:

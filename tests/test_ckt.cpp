@@ -391,24 +391,3 @@ TEST(Transient, TinyDeadlineReportsDeadlineExceeded) {
   const auto error = fk::run_transient(ckt, options, {}, nullptr, limits);
   EXPECT_EQ(error.code, ferro::core::ErrorCode::kDeadlineExceeded);
 }
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(Transient, DeprecatedBoolShimsStillWork) {
-  // The bool API must keep returning the old true/false contract until its
-  // callers are gone; success here means the structured path succeeded too.
-  auto ckt = make_rc();
-  std::vector<double> x;
-  EXPECT_TRUE(fk::dc_operating_point(ckt, x));
-  EXPECT_FALSE(x.empty());
-
-  auto ckt2 = make_rc();
-  fk::TransientOptions options;
-  options.t_end = 1e-3;
-  EXPECT_TRUE(fk::transient(ckt2, options, {}));
-
-  auto ckt3 = make_rc();
-  options.dt_max = options.dt_initial / 10.0;  // invalid → false, not throw
-  EXPECT_FALSE(fk::transient(ckt3, options, {}));
-}
-#pragma GCC diagnostic pop

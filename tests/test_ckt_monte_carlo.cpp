@@ -3,6 +3,7 @@
 // poison-corner isolation, RunLimits, and the streaming delivery contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -355,6 +356,61 @@ TEST(MonteCarlo, StreamingDeliversEveryCornerOnce) {
   EXPECT_EQ(summary.discarded_deliveries, 0u);
   EXPECT_TRUE(summary.ok());
   EXPECT_EQ(summary.batch.jobs, 9u);
+}
+
+TEST(MonteCarlo, ThrowingSinkKeepsTheDeliveryContract) {
+  // The core/stream.hpp contract, serial and with the consumer thread: an
+  // on_start throw withholds every delivery yet on_complete still runs once;
+  // an on_result throw loses that one corner only.
+  class ThrowingSink final : public fk::CornerSink {
+   public:
+    bool throw_on_start = false;
+    std::size_t throw_at = 0;  // corner whose on_result throws, if armed
+    bool throw_result = false;
+    int completes = 0;
+    std::vector<std::size_t> received;
+    void on_start(std::size_t) override {
+      if (throw_on_start) throw std::runtime_error("start exploded");
+    }
+    void on_result(std::size_t index, fk::CornerResult&&) override {
+      if (throw_result && index == throw_at) {
+        throw std::runtime_error("result exploded");
+      }
+      received.push_back(index);
+    }
+    void on_complete() override { ++completes; }
+  };
+
+  constexpr std::size_t kCorners = 6;
+  for (const unsigned threads : {1u, 3u}) {
+    auto options = demo_options(kCorners);
+    options.threads = threads;
+    options.chunk = 2;
+
+    ThrowingSink start_sink;
+    start_sink.throw_on_start = true;
+    const auto start = demo_mc().run(options, start_sink);
+    EXPECT_EQ(start_sink.completes, 1) << "threads " << threads;
+    EXPECT_TRUE(start_sink.received.empty()) << "threads " << threads;
+    EXPECT_EQ(start.delivered, 0u) << "threads " << threads;
+    EXPECT_EQ(start.discarded_deliveries, kCorners) << "threads " << threads;
+    EXPECT_EQ(start.sink_error.code, fe::ErrorCode::kSinkError);
+    EXPECT_EQ(start.sink_error_count, 1u) << "threads " << threads;
+
+    ThrowingSink result_sink;
+    result_sink.throw_result = true;
+    result_sink.throw_at = 2;
+    const auto one = demo_mc().run(options, result_sink);
+    EXPECT_EQ(result_sink.completes, 1) << "threads " << threads;
+    EXPECT_EQ(one.delivered, kCorners - 1) << "threads " << threads;
+    EXPECT_EQ(one.discarded_deliveries, 1u) << "threads " << threads;
+    EXPECT_EQ(one.sink_error.code, fe::ErrorCode::kSinkError);
+    EXPECT_EQ(one.sink_error_count, 1u) << "threads " << threads;
+    std::sort(result_sink.received.begin(), result_sink.received.end());
+    EXPECT_EQ(result_sink.received,
+              (std::vector<std::size_t>{0, 1, 3, 4, 5}))
+        << "threads " << threads;
+  }
 }
 
 TEST(MonteCarlo, OrderedStreamingMatchesCollect) {

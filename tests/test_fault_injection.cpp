@@ -11,15 +11,18 @@
 #include <utility>
 #include <vector>
 
+#include "ckt/monte_carlo.hpp"
+#include "ckt/rlc.hpp"
+#include "ckt/scatter.hpp"
 #include "core/batch_runner.hpp"
 #include "core/fault_injection.hpp"
-#include "core/result_sink.hpp"
 #include "mag/ja_params.hpp"
 #include "support/fixtures.hpp"
 #include "wave/standard.hpp"
 #include "wave/sweep.hpp"
 
 namespace fc = ferro::core;
+namespace fk = ferro::ckt;
 namespace fm = ferro::mag;
 namespace fw = ferro::wave;
 namespace ts = ferro::testsupport;
@@ -244,6 +247,55 @@ TEST_F(FaultInjection, ThrowAtSinkDeliverLosesOneDeliveryAndContinues) {
   EXPECT_EQ(sink.received.size(), scenarios.size() - 1);
   EXPECT_EQ(sink.completes, 1);
   EXPECT_EQ(summary.failed_jobs, 0u);
+}
+
+TEST_F(FaultInjection, ThrowAtSinkDeliverInACornerStreamLosesOneDelivery) {
+  // Monte-Carlo corner streams share the scenario streams' delivery loop,
+  // so the same site guards their deliveries: a throw there loses exactly
+  // that corner, on the consumer thread of a 3-worker sweep.
+  class CornerRecorder final : public fk::CornerSink {
+   public:
+    void on_result(std::size_t index, fk::CornerResult&&) override {
+      received.push_back(index);
+    }
+    void on_complete() override { ++completes; }
+    std::vector<std::size_t> received;
+    int completes = 0;
+  };
+
+  fk::ScatterSpec spec;
+  spec.params = {{"r.value", 0.05, fk::ScatterKind::kUniform}};
+  const fk::MonteCarlo mc(
+      fk::CornerSampler(spec, 11),
+      [](const fk::CornerView& view, fk::Circuit& circuit) {
+        const auto out = circuit.node("out");
+        circuit.add<fk::Capacitor>("C", out, fk::kGround, 1e-6, 1.0);
+        circuit.add<fk::Resistor>("R", out, fk::kGround,
+                                  view.value("r.value", 1000.0));
+      });
+  fk::MonteCarloOptions options;
+  options.corners = 12;
+  options.threads = 3;
+  options.chunk = 1;
+  options.transient.t_end = 1e-4;
+  options.transient.dt_max = 1e-5;
+
+  fc::FaultInjector::arm(fc::FaultSite::kSinkDeliver,
+                         {fc::FaultAction::kThrow, /*nth=*/2, /*count=*/1});
+  CornerRecorder sink;
+  const auto summary = mc.run(options, sink);
+  EXPECT_EQ(fc::FaultInjector::hits(fc::FaultSite::kSinkDeliver),
+            options.corners);
+  EXPECT_EQ(summary.sink_error_count, 1u);
+  EXPECT_EQ(summary.sink_error.code, fc::ErrorCode::kSinkError);
+  EXPECT_NE(summary.sink_error.detail.find("injected fault at sink-deliver"),
+            std::string::npos);
+  EXPECT_EQ(summary.delivered, options.corners - 1);
+  EXPECT_EQ(summary.discarded_deliveries, 1u);
+  EXPECT_EQ(summary.delivered + summary.discarded_deliveries, options.corners);
+  EXPECT_EQ(sink.received.size(), options.corners - 1);
+  EXPECT_EQ(sink.completes, 1);
+  EXPECT_EQ(summary.batch.failed, 0u);
 }
 
 TEST_F(FaultInjection, ThrowAtQueuePushKeepsTheAccountingClosed) {

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/batch_runner.hpp"
-#include "core/result_sink.hpp"
 #include "core/scenario.hpp"
 #include "mag/bh.hpp"
 #include "mag/energy_based.hpp"

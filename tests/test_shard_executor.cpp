@@ -24,7 +24,6 @@
 #include "core/cancel.hpp"
 #include "core/error.hpp"
 #include "core/fault_injection.hpp"
-#include "core/result_sink.hpp"
 #include "core/scenario.hpp"
 #include "core/shard_executor.hpp"
 #include "mag/ja_params.hpp"
