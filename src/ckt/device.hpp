@@ -4,8 +4,9 @@
 // iteration rebuilds the MNA matrix from companion models evaluated at the
 // present iterate, solves, and repeats until the iterate settles. Devices
 // with memory (C, L, cores) keep *committed* state that only advances in
-// commit(), so rejected trial steps leave no trace — the same discipline
-// TimelessJa::set_state supports for the hysteresis devices.
+// commit(), so rejected trial steps leave no trace. The hysteresis devices
+// never rewind their core: they probe it with the non-committing
+// TimelessJa::flux_density_at and apply() it only in commit().
 #pragma once
 
 #include <span>

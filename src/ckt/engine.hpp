@@ -130,7 +130,7 @@ struct NewtonWorkspace {
 /// advance() calls, read every machine's iterate(), evaluate all their
 /// JaInductor cores as one TimelessJaBatch block, and arm the inductors with
 /// the batched trial evaluations (JaInductor::arm_trial) so the iteration's
-/// stamps consume SoA results instead of three scalar model copies each.
+/// stamps consume SoA results instead of three scalar probes each.
 ///
 /// `options` must satisfy validate() (run_transient enforces it; direct
 /// constructions assert via the DC solve behaving as documented only then).

@@ -17,9 +17,8 @@ JaInductor::JaInductor(std::string name, NodeId a, NodeId b,
 }
 
 double JaInductor::linkage_at(double i) const {
-  mag::TimelessJa trial = model_;  // copy of the committed magnetic state
-  trial.apply(geometry_.field_from_current(i));
-  return geometry_.linkage_from_b(trial.flux_density());
+  return geometry_.linkage_from_b(
+      model_.flux_density_at(geometry_.field_from_current(i)));
 }
 
 double JaInductor::trial_di(double i_k) const {
@@ -56,8 +55,8 @@ void JaInductor::stamp(Stamper& s, const EvalContext& ctx) {
 
   // Differential inductance by central difference across the committed
   // state. Armed: the three trial flux densities were batch-evaluated by
-  // the Monte-Carlo packer (same expressions, SoA lanes); unarmed: three
-  // scalar model copies.
+  // the Monte-Carlo packer (same update code, SoA lanes); unarmed: three
+  // scalar flux_density_at probes.
   double lambda_k, l_eff;
   if (armed_) {
     armed_ = false;

@@ -42,7 +42,7 @@ class JaInductor final : public Device {
   /// Pre-arms the next (non-DC) stamp() with externally evaluated trial
   /// flux densities from the COMMITTED magnetic state: `b_at` at the iterate
   /// current i_k, `b_plus`/`b_minus` at i_k +/- `di` (di from trial_di(i_k)).
-  /// The armed stamp skips its three scalar model copies and consumes these
+  /// The armed stamp skips its three scalar probes and consumes these
   /// instead — arithmetically identical when the caller computed them with
   /// the exact SoA lanes (TimelessJaBatch kExact is bitwise-equal to the
   /// scalar model). One-shot: consumed by the next stamp(), so the packer

@@ -290,8 +290,8 @@ void run_group(const SweepContext& ctx, std::size_t begin, std::size_t end) {
   std::vector<double> b_at(lanes), b_plus(lanes), b_minus(lanes);
 
   // Rewinds every lane to its core's committed state — run before each of
-  // the three trial passes, exactly as the scalar stamp copies the
-  // committed model for each trial evaluation.
+  // the three trial passes, exactly as the scalar stamp probes the
+  // committed model for each trial evaluation (flux_density_at).
   const auto rewind = [&] {
     for (const auto& st : group) {
       for (std::size_t j = 0; j < st->packed_cores.size(); ++j) {

@@ -27,12 +27,6 @@ double JaTransformer::field_at(double ip, double is) const {
          geometry_.path_length;
 }
 
-double JaTransformer::b_at(double h) const {
-  mag::TimelessJa trial = model_;
-  trial.apply(h);
-  return trial.flux_density();
-}
-
 void JaTransformer::stamp(Stamper& s, const EvalContext& ctx) {
   const std::size_t brp = first_branch();
   const std::size_t brs = brp + 1;
@@ -58,7 +52,7 @@ void JaTransformer::stamp(Stamper& s, const EvalContext& ctx) {
   const double ip_k = s.i(brp);
   const double is_k = s.i(brs);
   const double h_k = field_at(ip_k, is_k);
-  const double b_k = b_at(h_k);
+  const double b_k = model_.flux_density_at(h_k);
   const double lambda_p_k = np * geometry_.area * b_k;
   const double lambda_s_k = ns_ * geometry_.area * b_k;
 
@@ -66,7 +60,9 @@ void JaTransformer::stamp(Stamper& s, const EvalContext& ctx) {
   // spanning the event threshold like JaInductor).
   const double dh = std::max(1.5 * model_.config().dhmax,
                              1e-6 * (1.0 + std::fabs(h_k)));
-  const double db_dh = (b_at(h_k + dh) - b_at(h_k - dh)) / (2.0 * dh);
+  const double db_dh = (model_.flux_density_at(h_k + dh) -
+                        model_.flux_density_at(h_k - dh)) /
+                       (2.0 * dh);
 
   // d(lambda_w)/d(i_u) = N_w * A * dB/dH * N_u / l
   const double common = geometry_.area * db_dh / geometry_.path_length;

@@ -36,8 +36,6 @@ class JaTransformer final : public Device {
  private:
   /// Core field for winding currents (ip, is).
   [[nodiscard]] double field_at(double ip, double is) const;
-  /// Flux density from the committed state at trial field h.
-  [[nodiscard]] double b_at(double h) const;
 
   NodeId pa_, pb_, sa_, sb_;
   mag::CoreGeometry geometry_;

@@ -1,13 +1,11 @@
 #include "core/facade.hpp"
 
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "core/ams_ja.hpp"
-#include "core/dc_sweep.hpp"
-#include "core/systemc_ja.hpp"
-#include "wave/pwl.hpp"
+#include "core/scenario.hpp"
 
 namespace ferro::core {
 namespace {
@@ -43,68 +41,31 @@ Facade::Facade(mag::JaParameters params, mag::TimelessConfig config)
     : spec_(JaSpec{params, config}) {}
 
 mag::BhCurve Facade::run(const wave::HSweep& sweep, Frontend frontend) const {
-  if (!frontend_supports(spec_, frontend)) throw_unsupported(spec_, frontend);
-
-  if (const auto* energy = std::get_if<EnergySpec>(&spec_)) {
-    mag::EnergyBased model(energy->params);
-    return mag::run_sweep(model, sweep);
-  }
-
-  const auto& ja = std::get<JaSpec>(spec_);
-  switch (frontend) {
-    case Frontend::kDirect:
-      return run_dc_sweep(ja.params, ja.config, sweep).curve;
-    case Frontend::kSystemC:
-      return run_systemc_sweep(ja.params, ja.config.dhmax, sweep).curve;
-    case Frontend::kAms: {
-      // The sweep-to-excitation synthesis lives next to the AMS frontend
-      // (ams_drive_for_sweep) so the packed planner reproduces it exactly.
-      const AmsSweepDrive drive = ams_drive_for_sweep(sweep, ja.config);
-      return run_ams_timeless(ja.params, drive.pwl, drive.config).curve;
-    }
-  }
-  return {};
+  Scenario scenario;
+  scenario.drive = sweep;
+  return run_checked(std::move(scenario), frontend);
 }
 
 mag::BhCurve Facade::run(const wave::Waveform& h_of_t, double t0, double t1,
                          std::size_t n_samples, Frontend frontend) const {
+  Scenario scenario;
+  // Non-owning: the scenario does not outlive this call.
+  scenario.drive = TimeDrive{
+      std::shared_ptr<const wave::Waveform>(std::shared_ptr<void>(), &h_of_t),
+      t0, t1, n_samples};
+  return run_checked(std::move(scenario), frontend);
+}
+
+mag::BhCurve Facade::run_checked(Scenario scenario, Frontend frontend) const {
   if (!frontend_supports(spec_, frontend)) throw_unsupported(spec_, frontend);
-
-  if (const auto* energy = std::get_if<EnergySpec>(&spec_)) {
-    // Uniform sampling like the other direct time-driven paths; dt feeds
-    // the dynamic/excess-loss term when the parameters carry one.
-    const wave::HSweep sweep =
-        wave::sweep_from_waveform(h_of_t, t0, t1, n_samples);
-    const double dt =
-        sweep.size() > 1 ? (t1 - t0) / static_cast<double>(sweep.size() - 1)
-                         : 0.0;
-    mag::EnergyBased model(energy->params);
-    mag::BhCurve curve;
-    curve.reserve(sweep.size());
-    for (const double h : sweep.h) {
-      model.apply(h, dt);
-      curve.append(h, model.magnetisation(), model.flux_density());
-    }
-    return curve;
+  scenario.model = spec_;
+  scenario.frontend = frontend;
+  ScenarioResult result = run_scenario(scenario);
+  if (result.error.code == ErrorCode::kInvalidScenario) {
+    throw std::invalid_argument(result.error.detail);
   }
-
-  const auto& ja = std::get<JaSpec>(spec_);
-  switch (frontend) {
-    case Frontend::kDirect:
-    case Frontend::kSystemC: {
-      const wave::HSweep sweep =
-          wave::sweep_from_waveform(h_of_t, t0, t1, n_samples);
-      return run(sweep, frontend);
-    }
-    case Frontend::kAms: {
-      AmsJaConfig config;
-      config.t_start = t0;
-      config.t_end = t1;
-      config.timeless = ja.config;
-      return run_ams_timeless(ja.params, h_of_t, config).curve;
-    }
-  }
-  return {};
+  if (!result.ok()) throw std::runtime_error(result.error.detail);
+  return std::move(result.curve);
 }
 
 }  // namespace ferro::core

@@ -26,6 +26,8 @@ enum class Frontend {
 /// energy-based model runs on the direct frontend only.
 [[nodiscard]] bool frontend_supports(const ModelSpec& spec, Frontend frontend);
 
+struct Scenario;  // core/scenario.hpp
+
 class Facade {
  public:
   /// Runs whichever backend `spec` selects.
@@ -35,15 +37,18 @@ class Facade {
   explicit Facade(mag::JaParameters params, mag::TimelessConfig config = {});
 
   /// Timeless DC sweep (kDirect and kSystemC; kAms needs a time axis and
-  /// synthesises a 1 s linear traversal of the sweep). Throws
+  /// synthesises a 1 s linear traversal of the sweep). Runs through
+  /// run_scenario, so the inputs are validated first. Throws
   /// std::invalid_argument when the frontend cannot execute the model
-  /// (frontend_supports is the predicate).
+  /// (frontend_supports is the predicate) or the scenario is invalid, and
+  /// std::runtime_error for any other result error; both carry
+  /// Error::detail.
   [[nodiscard]] mag::BhCurve run(const wave::HSweep& sweep,
                                  Frontend frontend = Frontend::kDirect) const;
 
   /// Time-driven run over [t0, t1]: kDirect/kSystemC sample the waveform at
   /// `n_samples` uniform points; kAms lets the analogue solver pick steps.
-  /// Same model-support contract as the sweep overload.
+  /// Same support and error contract as the sweep overload.
   [[nodiscard]] mag::BhCurve run(const wave::Waveform& h_of_t, double t0,
                                  double t1, std::size_t n_samples,
                                  Frontend frontend = Frontend::kDirect) const;
@@ -61,6 +66,10 @@ class Facade {
   }
 
  private:
+  /// Runs `scenario` (its drive set) on this facade's model and frontend.
+  [[nodiscard]] mag::BhCurve run_checked(Scenario scenario,
+                                         Frontend frontend) const;
+
   ModelSpec spec_;
 };
 

@@ -42,17 +42,11 @@ void InverseTimelessJa::reset() {
   converged_ = true;
 }
 
-double InverseTimelessJa::trial_b(double h) const {
-  TimelessJa trial = model_;
-  trial.apply(h);
-  return trial.flux_density();
-}
-
 double InverseTimelessJa::apply_b(double b) {
   // B(H) is monotone non-decreasing (clamped slopes >= 0 plus the mu0*H
   // term), so a bracketed secant/bisection hybrid is globally convergent.
   double h_lo = model_.state().present_h;
-  double b_lo = trial_b(h_lo);
+  double b_lo = model_.flux_density_at(h_lo);
 
   // Initial bracket: expand in the direction of the residual. The air-line
   // slope mu0 bounds dB/dH from below, giving a safe first stride.
@@ -64,7 +58,7 @@ double InverseTimelessJa::apply_b(double b) {
   }
   double stride = db / util::kMu0;  // overshoots when the core is active
   double h_hi = h_lo + stride;
-  double b_hi = trial_b(h_hi);
+  double b_hi = model_.flux_density_at(h_hi);
   ++iterations_;
 
   // Ensure the target is bracketed. In the clamped (monotone-B) model the
@@ -86,7 +80,7 @@ double InverseTimelessJa::apply_b(double b) {
     // growing sub-step cost. Both are unbracketable: take the failure path.
     if (!std::isfinite(h_next) || std::isnan(b_hi)) break;
     h_hi = h_next;
-    b_hi = trial_b(h_hi);
+    b_hi = model_.flux_density_at(h_hi);
     ++iterations_;
     bracketed = (b - b_lo) * (b - b_hi) <= 0.0;
   }
@@ -94,7 +88,7 @@ double InverseTimelessJa::apply_b(double b) {
     // No interval provably contains the target: running the bisection
     // anyway would commit a field whose flux is arbitrarily wrong. Leave
     // the model untouched at its present state and surface the failure
-    // (trial_b only ever probed copies, so no commit has happened).
+    // (flux_density_at never commits, so no commit has happened).
     ++bracket_failures_;
     converged_ = false;
     return h_lo;
@@ -113,7 +107,7 @@ double InverseTimelessJa::apply_b(double b) {
     if (h_sec <= lo || h_sec >= hi) h_sec = 0.5 * (h_lo + h_hi);
 
     h_mid = h_sec;
-    const double b_mid = trial_b(h_mid);
+    const double b_mid = model_.flux_density_at(h_mid);
     ++iterations_;
     if (std::fabs(b_mid - b) <= config_.tolerance_b) {
       converged_ = true;

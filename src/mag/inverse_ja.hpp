@@ -7,9 +7,10 @@
 //
 //     mu0 * (H + M(H)) = B_target
 //
-// where M(H) is evaluated through a *trial copy* of the forward model, so
-// the hysteresis state only advances once per accepted sample — the same
-// commit discipline the circuit devices use.
+// where M(H) is evaluated by the forward model's non-committing trial probe
+// (TimelessJa::flux_density_at), so the hysteresis state only advances
+// once per accepted sample — the same commit discipline the circuit
+// devices use.
 #pragma once
 
 #include "mag/timeless_ja.hpp"
@@ -57,9 +58,6 @@ class InverseTimelessJa {
   void reset();
 
  private:
-  /// Flux density reached by a trial copy when stepped to field h.
-  [[nodiscard]] double trial_b(double h) const;
-
   JaParameters params_;
   InverseConfig config_;
   TimelessJa model_;

@@ -15,10 +15,11 @@
 //   * event, single step:                (h, dh_total) (h, 0)*   2 rows
 //   * event, n sub-steps of width sub:   (h, 0) (a+sub, sub) ...
 //                                        (a+n*sub, sub) (h, 0)*  n+2 rows
-// Rows marked * publish a curve sample (record_rows). This is exactly
-// TimelessJa's operation sequence — refresh, per-step refresh+integrate,
-// feedback refresh — so replaying the rows is bitwise identical to calling
-// apply() (property-tested in tests/test_frontend_plan.cpp).
+// Rows marked * publish a curve sample (record_rows). The expansion is not
+// a copy of TimelessJa's: both run detail::expand_sample
+// (mag/timeless_ja_step.hpp), and TimelessJa::apply() executes those same
+// rows, so replaying them is bitwise identical to calling apply()
+// (property-tested in tests/test_frontend_plan.cpp).
 //
 // The planned counters (samples / field_events / integration_steps) are also
 // H-only facts and are precomputed here; only the clamp counters depend on
@@ -52,11 +53,11 @@ struct JaTrace {
 
 /// Unrolls the timeless update over `samples[1..]` (samples[0] is the
 /// initial point, published from the virgin state) for a model configured
-/// with `config` — the event threshold, sub-step splitting, and counter
-/// arithmetic mirror TimelessJa::apply() expression for expression, so the
-/// planned rows replay bit-for-bit. `config.scheme` must be kForwardEuler
-/// (asserted): the higher-order extension schemes evaluate trial states the
-/// row program cannot express.
+/// with `config`. The event threshold, sub-step splitting and counter
+/// arithmetic are TimelessJa::apply()'s own code (detail::expand_sample),
+/// so the planned rows replay bit-for-bit. `config.scheme` must be
+/// kForwardEuler (asserted): the higher-order extension schemes evaluate
+/// trial states the row program cannot express.
 [[nodiscard]] JaTrace build_ja_trace(std::span<const double> samples,
                                      const TimelessConfig& config);
 

@@ -102,6 +102,14 @@ class TimelessJa {
   /// Flux density B [T] = mu0 * (M + H) at the present field.
   [[nodiscard]] double flux_density() const;
 
+  /// Flux density B [T] the model would reach if apply(h) were called now,
+  /// without changing the model: bitwise equal to copying the model,
+  /// applying h to the copy and reading its flux_density(). This is the
+  /// trial probe for Newton and bracketing solves around a committed state
+  /// (circuit devices, the inverse model); it copies only the few doubles
+  /// an update touches, not the whole model.
+  [[nodiscard]] double flux_density_at(double h) const;
+
   /// The last slope dm/dH used [1/(A/m)], after clamping (0 until the first
   /// field event). Normalised: multiply by Ms for dM/dH.
   [[nodiscard]] double last_slope() const { return last_slope_; }
@@ -114,30 +122,38 @@ class TimelessJa {
   /// Returns to the demagnetised virgin state at H = 0.
   void reset();
 
-  /// Restores an explicit state (used by the circuit devices to rewind a
-  /// rejected transient step — the model itself never rejects).
+  /// Restores an explicit state verbatim (no algebraic refresh, so a
+  /// state()/set_state round trip is exact). The model itself never
+  /// rejects a sample; this is for callers that checkpoint and roll back.
   void set_state(const TimelessState& s);
 
+  /// Precomputed hot-path constants. TimelessJaBatch::add_lane copies these
+  /// instead of re-deriving them, so there is exactly one place the
+  /// constant expressions live.
+  [[nodiscard]] double c_over_1pc() const { return c_over_1pc_; }
+  [[nodiscard]] double alpha_ms() const { return alpha_ms_; }
+  [[nodiscard]] double one_pc_k() const { return one_pc_k_; }
+  [[nodiscard]] double one_pc_alpha_ms() const { return one_pc_alpha_ms_; }
+
  private:
-  /// The listing's slope expression from a precomputed (man - mtotal);
-  /// clamping is applied per config and counters are updated.
-  double slope_from_deltam(double delta_m, double delta);
+  /// This model as a lane of the shared update (mag/timeless_ja_step.hpp).
+  struct Lane;
 
-  /// dm_irr/dH at (h, m_total) with direction delta = sign(dh), with He and
-  /// man evaluated fresh (used by the Heun/RK4 extension schemes).
-  double slope(double h, double m_total, double delta);
+  /// The whole of apply(h) on the cursor (state, stats, last_slope): the
+  /// shared update with this model's constants and integration scheme.
+  /// apply() binds the members, flux_density_at() local copies.
+  void advance(TimelessState& state, TimelessStats& stats, double& last_slope,
+               double h) const;
 
-  /// Refreshes He, man, m_rev, m_total from the present field and m_irr —
-  /// the listing's core() process.
-  void refresh_algebraic(double h);
+  /// One Integral() step of the Heun/RK4 extension schemes over
+  /// [h_target-dh, h_target] (Forward Euler is the shared EulerStep).
+  void integrate_extension(const Lane& lane, double h_target, double dh) const;
 
-  /// Algebraic m_total for a trial (h, m_irr) — used by the Heun/RK4
-  /// extension schemes' intermediate stages.
-  [[nodiscard]] double m_total_at(double h, double m_irr) const;
-
-  /// One integration step of m_irr over [h_target-dh, h_target] with the
-  /// active scheme (Euler evaluates at h_target, exactly like the listing).
-  void integrate_step(double h_target, double dh);
+  /// dm_irr/dH at a trial (h, m_irr) of the extension schemes: core()
+  /// iterated to a short fixed point warm-started from the lane's total,
+  /// then the clamped slope there, direction delta = sign(dh).
+  [[nodiscard]] double trial_slope(const Lane& lane, double h, double m_irr,
+                                   double delta) const;
 
   JaParameters params_;
   TimelessConfig config_;
@@ -145,21 +161,10 @@ class TimelessJa {
   TimelessState state_;
   TimelessStats stats_;
   double last_slope_ = 0.0;
-  double last_man_ = 0.0;  ///< man published by the last core() refresh
   double c_over_1pc_;   ///< c/(1+c), the reversible weighting of the listing
   double alpha_ms_;     ///< alpha*Ms, the effective-field coupling [A/m]
   double one_pc_k_;        ///< (1+c)*k — slope denominator, pinning term
   double one_pc_alpha_ms_; ///< (1+c)*alpha*Ms — slope denominator, coupling term
-
- public:
-  /// Precomputed hot-path constants. TimelessJaBatch::add_lane copies these
-  /// instead of re-deriving them, so there is exactly one place the
-  /// constant expressions live and the batch kernel's bitwise-identity
-  /// contract cannot drift out of sync with the scalar model.
-  [[nodiscard]] double c_over_1pc() const { return c_over_1pc_; }
-  [[nodiscard]] double alpha_ms() const { return alpha_ms_; }
-  [[nodiscard]] double one_pc_k() const { return one_pc_k_; }
-  [[nodiscard]] double one_pc_alpha_ms() const { return one_pc_alpha_ms_; }
 };
 
 static_assert(HysteresisModel<TimelessJa>);

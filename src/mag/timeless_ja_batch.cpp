@@ -8,6 +8,7 @@
 
 #include "core/cpu_features.hpp"
 #include "mag/timeless_ja_batch_span.hpp"
+#include "mag/timeless_ja_step.hpp"
 #include "util/constants.hpp"
 
 namespace ferro::mag {
@@ -118,6 +119,29 @@ int TimelessJaBatch::force_simd_width(int width) {
   return entry->width;
 }
 
+/// Lane i of the exact SoA arrays, as a lane of the shared update
+/// (mag/timeless_ja_step.hpp). Every constant and state slot is read
+/// through (batch, i) where the update uses it, so only those two stay live
+/// across the out-of-line man() call.
+struct TimelessJaBatch::ExactLane {
+  TimelessJaBatch& batch;
+  std::size_t i;
+
+  double alpha_ms() const { return batch.alpha_ms_[i]; }
+  double c_over_1pc() const { return batch.c_over_1pc_[i]; }
+  double one_pc_k() const { return batch.one_pc_k_[i]; }
+  double one_pc_alpha_ms() const { return batch.one_pc_alpha_ms_[i]; }
+  bool clamp_slope() const { return batch.clamp_slope_[i] != 0.0; }
+  bool clamp_direction() const { return batch.clamp_direction_[i] != 0.0; }
+  double man(double he) const { return batch.anhysteretic_[i].man(he); }
+  double& m_irr() const { return batch.m_irr_[i]; }
+  double& m_total() const { return batch.m_total_[i]; }
+  double& anchor_h() const { return batch.anchor_h_[i]; }
+  double& present_h() const { return batch.present_h_[i]; }
+  TimelessStats& stats() const { return batch.stats_[i]; }
+  double& last_slope() const { return batch.last_slope_[i]; }
+};
+
 // ---------------------------------------------------------------------------
 // The FastMath lane's per-sample step lives in timeless_ja_batch_span.hpp,
 // templated over the SIMD width; this TU instantiates the W = 1/2 baseline
@@ -181,15 +205,15 @@ std::size_t TimelessJaBatch::add_lane(const JaParameters& params,
 void TimelessJaBatch::reset() {
   for (std::size_t i = 0; i < n_; ++i) {
     m_irr_[i] = 0.0;
+    m_total_[i] = 0.0;
     anchor_h_[i] = 0.0;
-    present_h_[i] = 0.0;
     last_slope_[i] = 0.0;
     stats_[i] = TimelessStats{};
     cnt_events_[i] = 0.0;
     cnt_slope_clamps_[i] = 0.0;
     cnt_direction_clamps_[i] = 0.0;
-    m_total_[i] = 0.0;
-    m_total_[i] = c_over_1pc_[i] * man_exact(i, 0.0);
+    // The virgin refresh at H = 0, exactly like TimelessJa::reset().
+    detail::refresh(ExactLane{*this, i}, 0.0);
   }
 }
 
@@ -279,100 +303,10 @@ void TimelessJaBatch::step_lane(std::size_t i, double h) {
     return;
   }
 
-  TimelessStats& st = stats_[i];
-  ++st.samples;
-
-  // core(): algebraic refresh from the previous total magnetisation.
-  const double he = h + alpha_ms_[i] * m_total_[i];
-  const double man = man_exact(i, he);
-  double mt = c_over_1pc_[i] * man + m_irr_[i];
-
-  // monitorH(): integration fires only on sufficient field movement.
-  const double dh = h - anchor_h_[i];
-  if (std::fabs(dh) > dhmax_[i]) {
-    ++st.field_events;
-
-    // Integral(): one Forward-Euler step spanning the whole event, slope
-    // from the man/mtotal pair just published — the scalar model's exact
-    // operation sequence.
-    const double delta = dh > 0.0 ? 1.0 : -1.0;
-    const double delta_m = man - mt;
-    const double denom = delta * one_pc_k_[i] - one_pc_alpha_ms_[i] * delta_m;
-    double s;
-    if (denom == 0.0) {
-      ++st.slope_clamps;
-      s = 0.0;
-    } else {
-      s = delta_m / denom;
-      if (clamp_slope_[i] != 0 && s < 0.0) {
-        ++st.slope_clamps;
-        s = 0.0;
-      }
-    }
-
-    double dm = dh * s;
-    if (clamp_direction_[i] != 0 && dm * dh < 0.0) {
-      ++st.direction_clamps;
-      dm = 0.0;
-    }
-
-    m_irr_[i] += dm;
-    ++st.integration_steps;
-    last_slope_[i] = s;
-    anchor_h_[i] = h;
-
-    // Feedback refresh so the published total includes this event's dm;
-    // the effective field uses the pre-event total, exactly like the scalar
-    // model's second refresh_algebraic().
-    const double he2 = h + alpha_ms_[i] * mt;
-    const double man2 = man_exact(i, he2);
-    mt = c_over_1pc_[i] * man2 + m_irr_[i];
-  }
-
-  m_total_[i] = mt;
-  present_h_[i] = h;
-}
-
-void TimelessJaBatch::step_lane_trace(std::size_t i, double h, double dh) {
-  // core(): algebraic refresh from the previous total magnetisation. The
-  // planner's row program carries the refresh-only rows explicitly, so
-  // there is no threshold check and no feedback refresh here — this is
-  // TimelessJa::apply() unrolled one row at a time (mag/ja_trace.hpp).
-  const double he = h + alpha_ms_[i] * m_total_[i];
-  const double man = man_exact(i, he);
-  const double mt = c_over_1pc_[i] * man + m_irr_[i];
-  m_total_[i] = mt;
-  present_h_[i] = h;
-
-  if (dh == 0.0) return;
-
-  // Integral(): one Forward-Euler step of the planned width, slope from the
-  // man/mtotal pair just published — the scalar model's exact operation
-  // sequence inside its event/sub-step path.
-  TimelessStats& st = stats_[i];
-  const double delta = dh > 0.0 ? 1.0 : -1.0;
-  const double delta_m = man - mt;
-  const double denom = delta * one_pc_k_[i] - one_pc_alpha_ms_[i] * delta_m;
-  double s;
-  if (denom == 0.0) {
-    ++st.slope_clamps;
-    s = 0.0;
-  } else {
-    s = delta_m / denom;
-    if (clamp_slope_[i] != 0 && s < 0.0) {
-      ++st.slope_clamps;
-      s = 0.0;
-    }
-  }
-
-  double dm = dh * s;
-  if (clamp_direction_[i] != 0 && dm * dh < 0.0) {
-    ++st.direction_clamps;
-    dm = 0.0;
-  }
-
-  m_irr_[i] += dm;
-  last_slope_[i] = s;
+  // The scalar model's apply(), restricted to supports(): Forward Euler,
+  // no sub-stepping.
+  detail::apply_sample(ExactLane{*this, i}, h, dhmax_[i], 0.0,
+                       detail::EulerStep{});
 }
 
 void TimelessJaBatch::apply(const double* h) {
@@ -473,7 +407,9 @@ void TimelessJaBatch::run_traces_exact(
     points[i].resize(t.rows);
     for (std::size_t j = 0; j < t.rows; ++j) {
       const double h = t.h[j];
-      step_lane_trace(i, h, t.dh[j]);
+      // Only the clamp counters land in stats_[i]; the planned counters
+      // are the caller's (JaTrace::planned).
+      detail::run_row(ExactLane{*this, i}, h, t.dh[j], detail::EulerStep{});
       const double m = ms_[i] * m_total_[i];
       points[i][j] = BhPoint{h, m, util::kMu0 * (m + h)};
     }

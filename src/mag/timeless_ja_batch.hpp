@@ -4,9 +4,11 @@
 // (m_irr / m_total / anchor_h) with per-lane precomputed constants.
 //
 // Two arithmetic lanes:
-//   * kExact — bitwise-identical to running a scalar TimelessJa per lane
-//     (same constants, same operation order; asserted by the property tests
-//     and by the fig1 golden curve). This is the default.
+//   * kExact — bitwise-identical to running a scalar TimelessJa per lane:
+//     both run the same update code (mag/timeless_ja_step.hpp) on the same
+//     constants, so the identity holds by construction (and is still
+//     asserted by the property tests and the fig1 golden curve). This is
+//     the default.
 //   * kFast  — opt-in FastMath: polynomial atan/tanh (src/mag/fast_math.hpp,
 //     |err| <= 5e-13 / 5e-8), branch-free slope and direction clamps via
 //     select/copysign, and the precomputed reciprocal constants. Bounded
@@ -126,8 +128,9 @@ class TimelessJaBatch {
   /// Restores lane `lane` to an explicit scalar-model snapshot, verbatim —
   /// the lane-side twin of TimelessJa::set_state. The circuit Monte-Carlo
   /// packer rewinds its trial lanes to each device's committed state before
-  /// every batched evaluation, exactly as the scalar stamp copies the
-  /// committed model. (last_slope is untouched: a step never reads it.)
+  /// every batched evaluation, exactly as the scalar stamp probes the
+  /// committed model with TimelessJa::flux_density_at. (last_slope is
+  /// untouched: a step never reads it.)
   void set_state(std::size_t lane, const TimelessState& s);
   [[nodiscard]] const TimelessStats& stats(std::size_t lane) const {
     return stats_[lane];
@@ -140,14 +143,11 @@ class TimelessJaBatch {
   }
 
  private:
+  /// Lane i as a lane of the shared update (mag/timeless_ja_step.hpp).
+  struct ExactLane;
+
   template <bool kFastMath>
   void step_lane(std::size_t i, double h);
-
-  /// One trace row for lane i on the exact path: algebraic refresh at h,
-  /// then (when dh != 0) one Forward-Euler step of width dh — the unrolled
-  /// body of TimelessJa::apply(), bitwise identical to the scalar model
-  /// replaying the same rows. Counts only the clamp counters.
-  void step_lane_trace(std::size_t i, double h, double dh);
 
   void run_exact(const std::vector<const wave::HSweep*>& sweeps,
                  std::vector<BhCurve>& curves);
@@ -175,11 +175,6 @@ class TimelessJaBatch {
   /// integration step per event; trace mode (`planned_counters`): only the
   /// clamp counters are the kernel's to report.
   void fold_fast_counters(std::size_t i, bool planned_counters = false);
-
-  /// Exact anhysteretic (shared scalar evaluator — bitwise identical).
-  [[nodiscard]] double man_exact(std::size_t i, double he) const {
-    return anhysteretic_[i].man(he);
-  }
 
   BatchMath math_;
   std::size_t n_ = 0;

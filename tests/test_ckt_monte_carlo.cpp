@@ -248,6 +248,50 @@ TEST(MonteCarlo, PackedMatchesScalarBitwise) {
   }
 }
 
+TEST(MonteCarlo, PackedFastStaysNearExactAndIsScheduleInvariant) {
+  // The FastMath lanes trade bitwise identity with the scalar model for a
+  // bounded error, but they keep the schedule contract: results depend on
+  // (seed, index) only, never on threads or lockstep group size.
+  auto options = demo_options(12);
+  options.record_waveforms = true;
+  options.packing = fk::McPacking::kPackedExact;
+  options.threads = 1;
+  options.chunk = 12;
+  const auto exact = demo_mc().run(options);
+
+  options.packing = fk::McPacking::kPackedFast;
+  const auto reference = demo_mc().run(options);
+  ASSERT_EQ(reference.size(), exact.size());
+  // The polynomial anhysteretic is accurate to ~5e-13 (atan kind); through
+  // this transient it moves the probe peaks by ~1e-13 relative, so the
+  // bound leaves four orders of headroom yet still catches a wrong lane.
+  constexpr double kPeakRelTol = 1e-9;
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    ASSERT_TRUE(reference[i].ok()) << "corner " << i << ": "
+                                   << reference[i].error;
+    for (std::size_t p = 0; p < reference[i].probes.size(); ++p) {
+      const double want = exact[i].probes[p].abs_peak;
+      EXPECT_LE(std::fabs(reference[i].probes[p].abs_peak - want),
+                kPeakRelTol * std::fabs(want))
+          << "corner " << i << " probe " << p;
+    }
+  }
+
+  for (const unsigned threads : {1u, 3u}) {
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{5}}) {
+      options.threads = threads;
+      options.chunk = chunk;
+      const auto results = demo_mc().run(options);
+      ASSERT_EQ(results.size(), reference.size());
+      for (std::size_t i = 0; i < results.size(); ++i) {
+        EXPECT_TRUE(bitwise_equal(results[i], reference[i]))
+            << "corner " << i << " diverged at threads=" << threads
+            << " chunk=" << chunk;
+      }
+    }
+  }
+}
+
 TEST(MonteCarlo, SeedReproducibilityAndDivergence) {
   const auto options = demo_options(6);
   const auto a = demo_mc(99).run(options);

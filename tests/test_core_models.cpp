@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "analysis/curve_compare.hpp"
 #include "analysis/loop_metrics.hpp"
@@ -190,6 +192,50 @@ TEST(Facade, WaveformEntryPoint) {
   EXPECT_EQ(curve.size(), 2001u);
   const fa::LoopMetrics metrics = fa::analyze_loop(curve);
   EXPECT_GT(metrics.b_peak, 1.0);
+}
+
+TEST(Facade, RejectsInvalidInputWithTheScenarioDetail) {
+  const fw::HSweep sweep = fw::SweepBuilder(25.0).cycles(8e3, 1).build();
+  const auto detail_of = [](const auto& run) -> std::string {
+    try {
+      (void)run();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "<no std::invalid_argument>";
+  };
+
+  fm::JaParameters negative_ms = fm::paper_parameters();
+  negative_ms.ms = -1.0;
+  const fc::Facade bad_params(negative_ms, {kDhmax});
+  EXPECT_NE(detail_of([&] { return bad_params.run(sweep); })
+                .find("invalid parameters"),
+            std::string::npos);
+
+  const fc::Facade bad_dhmax(fm::paper_parameters(), {-5.0});
+  for (const fc::Frontend f : {fc::Frontend::kDirect, fc::Frontend::kSystemC,
+                               fc::Frontend::kAms}) {
+    EXPECT_NE(detail_of([&] { return bad_dhmax.run(sweep, f); }).find("dhmax"),
+              std::string::npos)
+        << fc::to_string(f);
+  }
+
+  const fc::Facade facade(fm::paper_parameters(), {kDhmax});
+  const fw::Triangular tri(10e3, 0.02);
+  EXPECT_NE(detail_of([&] { return facade.run(tri, 0.02, 0.0, 101); })
+                .find("t1 > t0"),
+            std::string::npos);
+  fw::HSweep nan_sweep = sweep;
+  nan_sweep.h[3] = std::nan("");
+  EXPECT_NE(detail_of([&] { return facade.run(nan_sweep); })
+                .find("non-finite field sample at index 3"),
+            std::string::npos);
+
+  // Unsupported model/frontend pairs keep their own message.
+  const fc::Facade energy(fc::EnergySpec{fm::energy_reference_parameters()});
+  EXPECT_NE(detail_of([&] { return energy.run(sweep, fc::Frontend::kSystemC); })
+                .find("cannot execute"),
+            std::string::npos);
 }
 
 TEST(Facade, FrontendNames) {

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "mag/bh.hpp"
 #include "mag/timeless_ja.hpp"
@@ -165,6 +167,65 @@ TEST(TimelessJa, CopyIsIndependent) {
   EXPECT_DOUBLE_EQ(ja.state().present_h, 5000.0);
   EXPECT_DOUBLE_EQ(copy.state().present_h, 8000.0);
   EXPECT_NE(copy.magnetisation(), ja.magnetisation());
+}
+
+TEST(TimelessJa, FluxDensityAtMatchesCopyApplyAndLeavesTheModelAlone) {
+  // The non-committing trial probe must equal copy + apply + flux_density
+  // bit for bit from a non-virgin state, for every scheme, both sub-step
+  // settings and all four clamp combinations.
+  const auto bits_equal = [](const auto& a, const auto& b) {
+    return std::memcmp(&a, &b, sizeof(a)) == 0;
+  };
+  const double kDhmax = 25.0;
+  // Below the threshold, one event, a reversal, and spans that sub-step
+  // into many rows, from the state the prefix leaves behind.
+  const double probes[] = {2000.0, 2010.0, 2030.0, 1500.0, -6000.0,
+                           9000.0, 0.0,    -2000.0, 2000.0 + 1e-9};
+  const fw::HSweep prefix =
+      fw::SweepBuilder(50.0).to(6000.0).to(-3000.0).to(2000.0).build();
+  for (const fm::HIntegrator scheme :
+       {fm::HIntegrator::kForwardEuler, fm::HIntegrator::kHeun,
+        fm::HIntegrator::kRk4}) {
+    for (const double substep_max : {0.0, kDhmax}) {
+      for (const bool clamp_slope : {true, false}) {
+        for (const bool clamp_direction : {true, false}) {
+          fm::TimelessConfig cfg;
+          cfg.dhmax = kDhmax;
+          cfg.substep_max = substep_max;
+          cfg.scheme = scheme;
+          cfg.clamp_negative_slope = clamp_slope;
+          cfg.clamp_direction = clamp_direction;
+          fm::TimelessJa ja(fm::paper_parameters(), cfg);
+          // Non-virgin: up to the tip, down through remanence, back up.
+          for (const double h : prefix.h) ja.apply(h);
+          const std::string where =
+              std::string(fm::to_string(scheme)) +
+              " substep_max=" + std::to_string(substep_max) +
+              " clamp_slope=" + std::to_string(clamp_slope) +
+              " clamp_direction=" + std::to_string(clamp_direction);
+          ASSERT_GT(ja.stats().field_events, 0u) << where;
+
+          for (const double h : probes) {
+            const fm::TimelessState state = ja.state();
+            const fm::TimelessStats stats = ja.stats();
+            const double last_slope = ja.last_slope();
+
+            fm::TimelessJa copy = ja;
+            copy.apply(h);
+            const double want = copy.flux_density();
+            const double got = ja.flux_density_at(h);
+            EXPECT_TRUE(bits_equal(got, want))
+                << where << " h=" << h << ": " << got << " vs " << want;
+
+            EXPECT_TRUE(bits_equal(ja.state(), state)) << where << " h=" << h;
+            EXPECT_TRUE(bits_equal(ja.stats(), stats)) << where << " h=" << h;
+            EXPECT_TRUE(bits_equal(ja.last_slope(), last_slope))
+                << where << " h=" << h;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(TimelessJa, SmallerDhmaxConvergesToReference) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -59,6 +60,39 @@ TEST(Strings, FormatDouble) {
 TEST(Strings, FormatEngineering) {
   EXPECT_EQ(fu::format_engineering(4000.0, "A/m"), "4.000 kA/m");
   EXPECT_EQ(fu::format_engineering(1.6e6, "A/m"), "1.600 MA/m");
+}
+
+TEST(Strings, ParseNumberAcceptsWholeTokens) {
+  EXPECT_EQ(fu::parse_number<double>("2.5e-3"), 2.5e-3);
+  EXPECT_EQ(fu::parse_number<double>("-7"), -7.0);
+  EXPECT_EQ(fu::parse_number<int>("-12"), -12);
+  EXPECT_EQ(fu::parse_number<unsigned>("4"), 4u);
+  EXPECT_EQ(fu::parse_number<std::uint64_t>("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(fu::parse_number<std::size_t>("0"), std::size_t{0});
+}
+
+TEST(Strings, ParseNumberRejectsMalformedTokens) {
+  // Empty, partial and padded tokens.
+  for (const char* bad : {"", "abc", "3x", "12 ", " 12", "1,5", "0x10"}) {
+    EXPECT_FALSE(fu::parse_number<double>(bad).has_value()) << bad;
+    EXPECT_FALSE(fu::parse_number<int>(bad).has_value()) << bad;
+  }
+  // Integers take no fraction or exponent.
+  EXPECT_FALSE(fu::parse_number<int>("64.0").has_value());
+  EXPECT_FALSE(fu::parse_number<std::size_t>("1e3").has_value());
+  // Non-finite or out-of-range doubles.
+  for (const char* bad : {"inf", "-inf", "nan", "infinity", "1e999"}) {
+    EXPECT_FALSE(fu::parse_number<double>(bad).has_value()) << bad;
+  }
+  // Out of range for the target type.
+  EXPECT_FALSE(fu::parse_number<int>("99999999999").has_value());
+  EXPECT_FALSE(fu::parse_number<std::uint32_t>("4294967296").has_value());
+  // Unsigned types accept no sign, so "-1" cannot wrap to the maximum.
+  for (const char* bad : {"-1", "+1", "-0"}) {
+    EXPECT_FALSE(fu::parse_number<unsigned>(bad).has_value()) << bad;
+    EXPECT_FALSE(fu::parse_number<std::uint64_t>(bad).has_value()) << bad;
+  }
 }
 
 TEST(Csv, RoundTrip) {

@@ -16,11 +16,11 @@
 //             --multistarts 8 --out fitted_curve.csv
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <string>
 
+#include "cli_args.hpp"
 #include "core/batch_runner.hpp"
 #include "core/scenario.hpp"
 #include "fit/fitter.hpp"
@@ -59,22 +59,6 @@ void usage(const char* argv0) {
       argv0);
 }
 
-double arg_value(int argc, char** argv, int& i) {
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "missing value after %s\n", argv[i]);
-    std::exit(2);
-  }
-  return std::atof(argv[++i]);
-}
-
-const char* arg_string(int argc, char** argv, int& i) {
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "missing value after %s\n", argv[i]);
-    std::exit(2);
-  }
-  return argv[++i];
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -89,34 +73,33 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--input") == 0) {
-      input = arg_string(argc, argv, i);
+      input = cli::arg_string(argc, argv, i);
     } else if (std::strcmp(arg, "--h-col") == 0) {
-      h_col = arg_string(argc, argv, i);
+      h_col = cli::arg_string(argc, argv, i);
     } else if (std::strcmp(arg, "--b-col") == 0) {
-      b_col = arg_string(argc, argv, i);
+      b_col = cli::arg_string(argc, argv, i);
     } else if (std::strcmp(arg, "--dhmax") == 0) {
-      config.dhmax = arg_value(argc, argv, i);
+      config.dhmax = cli::arg_number<double>(argc, argv, i);
     } else if (std::strcmp(arg, "--grid") == 0) {
-      obj_opts.grid_per_segment =
-          static_cast<std::size_t>(arg_value(argc, argv, i));
+      obj_opts.grid_per_segment = cli::arg_number<std::size_t>(argc, argv, i);
     } else if (std::strcmp(arg, "--tip-weight") == 0) {
-      obj_opts.weights.tip = arg_value(argc, argv, i);
+      obj_opts.weights.tip = cli::arg_number<double>(argc, argv, i);
     } else if (std::strcmp(arg, "--coercive-weight") == 0) {
-      obj_opts.weights.coercive = arg_value(argc, argv, i);
+      obj_opts.weights.coercive = cli::arg_number<double>(argc, argv, i);
     } else if (std::strcmp(arg, "--multistarts") == 0) {
-      fit_opts.multistarts = static_cast<int>(arg_value(argc, argv, i));
+      fit_opts.multistarts = cli::arg_number<int>(argc, argv, i);
     } else if (std::strcmp(arg, "--restarts") == 0) {
-      fit_opts.restarts = static_cast<int>(arg_value(argc, argv, i));
+      fit_opts.restarts = cli::arg_number<int>(argc, argv, i);
     } else if (std::strcmp(arg, "--generations") == 0) {
-      fit_opts.max_generations = static_cast<int>(arg_value(argc, argv, i));
+      fit_opts.max_generations = cli::arg_number<int>(argc, argv, i);
     } else if (std::strcmp(arg, "--seed") == 0) {
-      fit_opts.seed = static_cast<std::uint32_t>(arg_value(argc, argv, i));
+      fit_opts.seed = cli::arg_number<std::uint32_t>(argc, argv, i);
     } else if (std::strcmp(arg, "--threads") == 0) {
-      fit_opts.threads = static_cast<unsigned>(arg_value(argc, argv, i));
+      fit_opts.threads = cli::arg_number<unsigned>(argc, argv, i);
     } else if (std::strcmp(arg, "--fast") == 0) {
       fit_opts.math = mag::BatchMath::kFast;
     } else if (std::strcmp(arg, "--out") == 0) {
-      out_path = arg_string(argc, argv, i);
+      out_path = cli::arg_string(argc, argv, i);
     } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       usage(argv[0]);
       return 0;

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "ckt/monte_carlo.hpp"
 #include "ckt/netlist_parser.hpp"
 #include "ckt/scatter.hpp"
@@ -56,14 +57,6 @@ void usage(const char* argv0) {
       "  --deadline S      wall-clock budget, 0 = none (default: 0)\n"
       "  --max-errors N    stop after N failed corners, 0 = none (default: 0)\n",
       argv0);
-}
-
-const char* arg_value(int argc, char** argv, int& i) {
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "missing value after %s\n", argv[i]);
-    std::exit(2);
-  }
-  return argv[++i];
 }
 
 std::string read_file(const std::string& path) {
@@ -178,20 +171,17 @@ int main(int argc, char** argv) {
       usage(argv[0]);
       return 0;
     } else if (std::strcmp(arg, "--scatter") == 0) {
-      scatter_path = arg_value(argc, argv, i);
+      scatter_path = cli::arg_string(argc, argv, i);
     } else if (std::strcmp(arg, "--corners") == 0) {
-      options.corners =
-          static_cast<std::size_t>(std::atoll(arg_value(argc, argv, i)));
+      options.corners = cli::arg_number<std::size_t>(argc, argv, i);
     } else if (std::strcmp(arg, "--seed") == 0) {
-      seed = static_cast<std::uint64_t>(std::atoll(arg_value(argc, argv, i)));
+      seed = cli::arg_number<std::uint64_t>(argc, argv, i);
     } else if (std::strcmp(arg, "--threads") == 0) {
-      options.threads =
-          static_cast<unsigned>(std::atoi(arg_value(argc, argv, i)));
+      options.threads = cli::arg_number<unsigned>(argc, argv, i);
     } else if (std::strcmp(arg, "--chunk") == 0) {
-      options.chunk =
-          static_cast<std::size_t>(std::atoll(arg_value(argc, argv, i)));
+      options.chunk = cli::arg_number<std::size_t>(argc, argv, i);
     } else if (std::strcmp(arg, "--packing") == 0) {
-      const std::string mode = arg_value(argc, argv, i);
+      const std::string mode = cli::arg_string(argc, argv, i);
       if (mode == "scalar") {
         options.packing = ckt::McPacking::kScalar;
       } else if (mode == "packed") {
@@ -203,18 +193,17 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strcmp(arg, "--dt-initial") == 0) {
-      options.transient.dt_initial = std::atof(arg_value(argc, argv, i));
+      options.transient.dt_initial = cli::arg_number<double>(argc, argv, i);
     } else if (std::strcmp(arg, "--t-end") == 0) {
-      t_end_override = std::atof(arg_value(argc, argv, i));
+      t_end_override = cli::arg_number<double>(argc, argv, i);
     } else if (std::strcmp(arg, "--probe") == 0) {
-      probe_specs.push_back(arg_value(argc, argv, i));
+      probe_specs.push_back(cli::arg_string(argc, argv, i));
     } else if (std::strcmp(arg, "--out") == 0) {
-      out_path = arg_value(argc, argv, i);
+      out_path = cli::arg_string(argc, argv, i);
     } else if (std::strcmp(arg, "--deadline") == 0) {
-      options.limits.deadline_s = std::atof(arg_value(argc, argv, i));
+      options.limits.deadline_s = cli::arg_number<double>(argc, argv, i);
     } else if (std::strcmp(arg, "--max-errors") == 0) {
-      options.limits.max_errors =
-          static_cast<std::size_t>(std::atoll(arg_value(argc, argv, i)));
+      options.limits.max_errors = cli::arg_number<std::size_t>(argc, argv, i);
     } else if (arg[0] == '-') {
       std::fprintf(stderr, "unknown option %s\n", arg);
       usage(argv[0]);

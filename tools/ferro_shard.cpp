@@ -14,11 +14,11 @@
 //   ferro_shard --scenarios 256 --workers 4 --shard-size 8 --verify
 //   FERRO_SHARD_DISABLE=1 ferro_shard        # graceful degradation path
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "core/cancel.hpp"
 #include "core/scenario.hpp"
 #include "core/shard_executor.hpp"
@@ -47,14 +47,6 @@ void usage(const char* argv0) {
       "checks\n"
       "  --verify          also run in-process and compare curves bitwise\n",
       argv0);
-}
-
-double arg_value(int argc, char** argv, int& i) {
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "missing value after %s\n", argv[i]);
-    std::exit(2);
-  }
-  return std::atof(argv[++i]);
 }
 
 std::vector<core::Scenario> build_workload(std::size_t count, int cycles) {
@@ -101,19 +93,19 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--scenarios") == 0) {
-      n_scenarios = static_cast<std::size_t>(arg_value(argc, argv, i));
+      n_scenarios = cli::arg_number<std::size_t>(argc, argv, i);
     } else if (std::strcmp(arg, "--cycles") == 0) {
-      cycles = static_cast<int>(arg_value(argc, argv, i));
+      cycles = cli::arg_number<int>(argc, argv, i);
     } else if (std::strcmp(arg, "--workers") == 0) {
-      shard.workers = static_cast<unsigned>(arg_value(argc, argv, i));
+      shard.workers = cli::arg_number<unsigned>(argc, argv, i);
     } else if (std::strcmp(arg, "--shard-size") == 0) {
-      shard.shard_size = static_cast<std::size_t>(arg_value(argc, argv, i));
+      shard.shard_size = cli::arg_number<std::size_t>(argc, argv, i);
     } else if (std::strcmp(arg, "--heartbeat") == 0) {
-      shard.heartbeat_timeout_s = arg_value(argc, argv, i);
+      shard.heartbeat_timeout_s = cli::arg_number<double>(argc, argv, i);
     } else if (std::strcmp(arg, "--max-restarts") == 0) {
-      shard.max_worker_restarts = static_cast<std::size_t>(arg_value(argc, argv, i));
+      shard.max_worker_restarts = cli::arg_number<std::size_t>(argc, argv, i);
     } else if (std::strcmp(arg, "--deadline") == 0) {
-      limits.deadline_s = arg_value(argc, argv, i);
+      limits.deadline_s = cli::arg_number<double>(argc, argv, i);
     } else if (std::strcmp(arg, "--verify") == 0) {
       verify = true;
     } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
