@@ -5,8 +5,10 @@
 // present iterate, solves, and repeats until the iterate settles. Devices
 // with memory (C, L, cores) keep *committed* state that only advances in
 // commit(), so rejected trial steps leave no trace. The hysteresis devices
-// never rewind their core: they probe it with the non-committing
-// TimelessJa::flux_density_at and apply() it only in commit().
+// never rewind their core: an accepted step is one field event, so they
+// probe the core's event map with the non-committing
+// TimelessJa::event_flux_density_at (two points per iteration) and commit
+// exactly that event with apply_event() in commit().
 #pragma once
 
 #include <span>

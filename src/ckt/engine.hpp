@@ -127,10 +127,10 @@ struct NewtonWorkspace {
 ///
 /// The point of the decomposition is cross-instance batching: a caller
 /// holding N machines over a shared topology can, before each round of
-/// advance() calls, read every machine's iterate(), evaluate all their
-/// JaInductor cores as one TimelessJaBatch block, and arm the inductors with
-/// the batched trial evaluations (JaInductor::arm_trial) so the iteration's
-/// stamps consume SoA results instead of three scalar probes each.
+/// advance() calls, read every machine's iterate(), evaluate the event maps
+/// of all their JaInductor cores as TimelessJaBatch blocks, and arm the
+/// inductors with the batched values (JaInductor::arm_trial) so the
+/// iteration's stamps consume SoA results instead of two scalar probes each.
 ///
 /// `options` must satisfy validate() (run_transient enforces it; direct
 /// constructions assert via the DC solve behaving as documented only then).

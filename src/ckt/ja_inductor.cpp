@@ -1,7 +1,5 @@
 #include "ckt/ja_inductor.hpp"
 
-#include <cmath>
-
 namespace ferro::ckt {
 
 JaInductor::JaInductor(std::string name, NodeId a, NodeId b,
@@ -16,26 +14,10 @@ JaInductor::JaInductor(std::string name, NodeId a, NodeId b,
   lambda_prev_ = geometry_.linkage_from_b(model_.flux_density());
 }
 
-double JaInductor::linkage_at(double i) const {
-  return geometry_.linkage_from_b(
-      model_.flux_density_at(geometry_.field_from_current(i)));
-}
-
-double JaInductor::trial_di(double i_k) const {
-  // Differential inductance perturbation: spans at least one event
-  // threshold so the irreversible branch is represented, not just the
-  // reversible slope.
-  return std::max(geometry_.current_from_field(1.5 * model_.config().dhmax),
-                  1e-9 + 1e-6 * std::fabs(i_k));
-}
-
-void JaInductor::arm_trial(double b_at, double b_plus, double b_minus,
-                           double di) {
+void JaInductor::arm_trial(double b_at, double b_probe) {
   armed_ = true;
   armed_b_at_ = b_at;
-  armed_b_plus_ = b_plus;
-  armed_b_minus_ = b_minus;
-  armed_di_ = di;
+  armed_b_probe_ = b_probe;
 }
 
 void JaInductor::stamp(Stamper& s, const EvalContext& ctx) {
@@ -51,24 +33,26 @@ void JaInductor::stamp(Stamper& s, const EvalContext& ctx) {
     return;
   }
 
+  // Two points of the core's event map from the committed state. Armed:
+  // batch-evaluated by the Monte-Carlo packer (same update code, SoA
+  // lanes); unarmed: two scalar probes.
   const double i_k = s.i(br);
-
-  // Differential inductance by central difference across the committed
-  // state. Armed: the three trial flux densities were batch-evaluated by
-  // the Monte-Carlo packer (same update code, SoA lanes); unarmed: three
-  // scalar flux_density_at probes.
-  double lambda_k, l_eff;
+  const double h_k = geometry_.field_from_current(i_k);
+  double b_at, b_probe;
   if (armed_) {
     armed_ = false;
-    lambda_k = geometry_.linkage_from_b(armed_b_at_);
-    l_eff = (geometry_.linkage_from_b(armed_b_plus_) -
-             geometry_.linkage_from_b(armed_b_minus_)) /
-            (2.0 * armed_di_);
+    b_at = armed_b_at_;
+    b_probe = armed_b_probe_;
   } else {
-    lambda_k = linkage_at(i_k);
-    const double di = trial_di(i_k);
-    l_eff = (linkage_at(i_k + di) - linkage_at(i_k - di)) / (2.0 * di);
+    b_at = model_.event_flux_density_at(h_k);
+    b_probe = model_.event_flux_density_at(
+        mag::TimelessJa::event_probe_field(h_k));
   }
+  const double lambda_k = geometry_.linkage_from_b(b_at);
+  // d(lambda)/di = N*A * dB/dH * N/l
+  const double l_eff = geometry_.linkage_from_b(mag::TimelessJa::event_slope(
+                           h_k, b_at, b_probe)) *
+                       geometry_.field_from_current(1.0);
 
   // Trapezoidal: v = (2/dt)(lambda - lambda_prev) - v_prev
   // Backward Euler: v = (lambda - lambda_prev)/dt
@@ -89,7 +73,7 @@ void JaInductor::commit(const EvalContext& ctx, std::span<const double> x) {
   const double vb = b_ == kGround ? 0.0 : x[static_cast<std::size_t>(b_)];
 
   armed_ = false;  // a pending arming must never outlive its iteration
-  model_.apply(geometry_.field_from_current(i));
+  model_.apply_event(geometry_.field_from_current(i));
   lambda_prev_ = geometry_.linkage_from_b(model_.flux_density());
   i_prev_ = i;
   v_prev_ = va - vb;

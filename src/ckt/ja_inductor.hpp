@@ -4,10 +4,15 @@
 //
 // Branch formulation: the winding equation is v = d(lambda)/dt with
 // lambda(i) = N * A * B(H), H = N*i/l, and B supplied by the hysteresis
-// model. Each Newton iteration linearises lambda around the present
-// current using the model's differential behaviour evaluated from the
-// *committed* magnetic state; the state advances only in commit(), so
-// rejected steps never pollute the hysteresis trajectory.
+// model. An accepted step is one timeless field event: B(H) is the core's
+// event map seen from the *committed* magnetic state
+// (TimelessJa::event_flux_density_at), which is continuous and monotone
+// through the anchor, so Newton has a root to converge on. Each iteration
+// linearises lambda around the present current from two points of that
+// map; commit() applies the same event (TimelessJa::apply_event), so the
+// committed B is bit for bit the point Newton converged on, and rejected
+// steps never touch the hysteresis trajectory. The deck's dhmax is kept in
+// the model's config but does not gate a circuit core.
 #pragma once
 
 #include "ckt/device.hpp"
@@ -34,25 +39,17 @@ class JaInductor final : public Device {
   [[nodiscard]] const mag::TimelessJa& model() const { return model_; }
   [[nodiscard]] const mag::CoreGeometry& geometry() const { return geometry_; }
 
-  /// The central-difference current perturbation stamp() uses around the
-  /// iterate current `i_k` — exposed so the Monte-Carlo packer evaluates the
-  /// identical three trial points the scalar path would.
-  [[nodiscard]] double trial_di(double i_k) const;
-
-  /// Pre-arms the next (non-DC) stamp() with externally evaluated trial
-  /// flux densities from the COMMITTED magnetic state: `b_at` at the iterate
-  /// current i_k, `b_plus`/`b_minus` at i_k +/- `di` (di from trial_di(i_k)).
-  /// The armed stamp skips its three scalar probes and consumes these
-  /// instead — arithmetically identical when the caller computed them with
-  /// the exact SoA lanes (TimelessJaBatch kExact is bitwise-equal to the
-  /// scalar model). One-shot: consumed by the next stamp(), so the packer
-  /// re-arms before every Newton iteration.
-  void arm_trial(double b_at, double b_plus, double b_minus, double di);
+  /// Pre-arms the next (non-DC) stamp() with the event map evaluated
+  /// elsewhere from the COMMITTED magnetic state: `b_at` at the iterate's
+  /// field h_k and `b_probe` at TimelessJa::event_probe_field(h_k). The
+  /// armed stamp skips its two scalar probes and consumes these instead —
+  /// arithmetically identical when the caller computed them with the exact
+  /// SoA lanes (TimelessJaBatch::apply_event at kExact is bitwise-equal to
+  /// the scalar model). One-shot: consumed by the next stamp(), so the
+  /// packer re-arms before every Newton iteration.
+  void arm_trial(double b_at, double b_probe);
 
  private:
-  /// lambda(i) evaluated from the committed state (trial, non-committing).
-  [[nodiscard]] double linkage_at(double i) const;
-
   NodeId a_, b_;
   mag::CoreGeometry geometry_;
   mag::TimelessJa model_;
@@ -62,9 +59,7 @@ class JaInductor final : public Device {
 
   bool armed_ = false;
   double armed_b_at_ = 0.0;
-  double armed_b_plus_ = 0.0;
-  double armed_b_minus_ = 0.0;
-  double armed_di_ = 0.0;
+  double armed_b_probe_ = 0.0;
 };
 
 }  // namespace ferro::ckt

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "ckt/ja_inductor.hpp"
+#include "ckt/transformer.hpp"
 #include "core/thread_pool.hpp"
 #include "mag/timeless_ja_batch.hpp"
 
@@ -30,13 +31,14 @@ bool iequals(std::string_view a, std::string_view b) {
   return true;
 }
 
-/// A probe resolved against one corner's circuit. The JaInductor pointer is
-/// only dereferenced while the corner is alive (same group iteration).
+/// A probe resolved against one corner's circuit. The core model pointer
+/// (a JaInductor's or a JaTransformer's) is only dereferenced while the
+/// corner is alive (same group iteration).
 struct ProbeRef {
   Probe::Kind kind = Probe::Kind::kNodeVoltage;
   NodeId node = kGround;
   std::size_t branch = 0;
-  const JaInductor* core = nullptr;
+  const mag::TimelessJa* core = nullptr;
 };
 
 Device* find_device(Circuit& circuit, std::string_view name) {
@@ -88,17 +90,19 @@ Error resolve_probe(const Probe& probe, Circuit& circuit, ProbeRef& out) {
     }
     case Probe::Kind::kCoreFluxDensity:
     case Probe::Kind::kCoreField: {
-      Device* device = find_device(circuit, probe.target);
-      auto* core = dynamic_cast<JaInductor*>(device);
-      if (core == nullptr) {
+      const Device* device = find_device(circuit, probe.target);
+      if (const auto* y = dynamic_cast<const JaInductor*>(device)) {
+        out.core = &y->model();
+      } else if (const auto* t = dynamic_cast<const JaTransformer*>(device)) {
+        out.core = &t->model();
+      } else {
         return {ErrorCode::kInvalidScenario,
                 "probe " +
                     std::string(probe.kind == Probe::Kind::kCoreFluxDensity
                                     ? "b("
                                     : "h(") +
-                    probe.target + "): no such JA inductor"};
+                    probe.target + "): no such JA core"};
       }
-      out.core = core;
       return {};
     }
   }
@@ -114,7 +118,7 @@ double probe_value(const ProbeRef& ref, const Solution& sol) {
     case Probe::Kind::kCoreFluxDensity:
       return ref.core->flux_density();  // committed before the callback
     case Probe::Kind::kCoreField:
-      return ref.core->field();
+      return ref.core->state().present_h;
   }
   return 0.0;
 }
@@ -246,8 +250,8 @@ void emit_cancelled(const SweepContext& ctx, std::size_t begin,
 /// Runs corners [begin, end) as one lockstep group. kScalar: each corner's
 /// machine is driven to completion on its own (the serial reference).
 /// Packed: all machines of the group step together, and before every round
-/// of Newton iterations the JA cores' three trial points are evaluated as
-/// one TimelessJaBatch block and armed into the inductors.
+/// of Newton iterations the JA cores' two event-map points are evaluated as
+/// TimelessJaBatch blocks and armed into the inductors.
 void run_group(const SweepContext& ctx, std::size_t begin, std::size_t end) {
   const bool packed = ctx.options.packing != McPacking::kScalar;
 
@@ -286,12 +290,12 @@ void run_group(const SweepContext& ctx, std::size_t begin, std::size_t end) {
   }
 
   const std::size_t lanes = batch.lanes();
-  std::vector<double> h_at(lanes), h_plus(lanes), h_minus(lanes), di(lanes);
-  std::vector<double> b_at(lanes), b_plus(lanes), b_minus(lanes);
+  std::vector<double> h_at(lanes), h_probe(lanes);
+  std::vector<double> b_at(lanes), b_probe(lanes);
 
   // Rewinds every lane to its core's committed state — run before each of
-  // the three trial passes, exactly as the scalar stamp probes the
-  // committed model for each trial evaluation (flux_density_at).
+  // the two trial passes, exactly as the scalar stamp probes the committed
+  // model for each evaluation (event_flux_density_at).
   const auto rewind = [&] {
     for (const auto& st : group) {
       for (std::size_t j = 0; j < st->packed_cores.size(); ++j) {
@@ -303,7 +307,7 @@ void run_group(const SweepContext& ctx, std::size_t begin, std::size_t end) {
   const auto trial_pass = [&](const std::vector<double>& h,
                               std::vector<double>& b) {
     rewind();
-    batch.apply(h.data());
+    batch.apply_event(h.data());
     for (std::size_t l = 0; l < lanes; ++l) b[l] = batch.flux_density(l);
   };
 
@@ -313,9 +317,9 @@ void run_group(const SweepContext& ctx, std::size_t begin, std::size_t end) {
   };
 
   while (any_active()) {
-    // Phase 1: each active corner's trial field points, one lane per core.
-    // Done corners park their lanes at the committed field (a dh = 0
-    // refresh), so the lockstep apply stays well-defined for every lane.
+    // Phase 1: each active corner's two field points, one lane per core.
+    // Done corners park their lanes at the committed field (a zero-width
+    // event), so the lockstep apply stays well-defined for every lane.
     for (const auto& st : group) {
       const bool active = !st->machine->done();
       const std::span<const double> x = st->machine->iterate();
@@ -324,30 +328,25 @@ void run_group(const SweepContext& ctx, std::size_t begin, std::size_t end) {
         const JaInductor* core = st->packed_cores[j];
         const std::size_t l = st->lane_of_core[j];
         if (!active) {
-          h_at[l] = h_plus[l] = h_minus[l] = core->model().state().present_h;
-          di[l] = 1.0;
+          h_at[l] = h_probe[l] = core->model().state().present_h;
           continue;
         }
         const double i_k = x[nodes + core->first_branch()];
-        const mag::CoreGeometry& geom = core->geometry();
-        di[l] = core->trial_di(i_k);
-        h_at[l] = geom.field_from_current(i_k);
-        h_plus[l] = geom.field_from_current(i_k + di[l]);
-        h_minus[l] = geom.field_from_current(i_k - di[l]);
+        h_at[l] = core->geometry().field_from_current(i_k);
+        h_probe[l] = mag::TimelessJa::event_probe_field(h_at[l]);
       }
     }
 
-    // Phase 2: the three batched trial evaluations, all lanes in lockstep.
+    // Phase 2: the two batched evaluations, all lanes in lockstep.
     trial_pass(h_at, b_at);
-    trial_pass(h_plus, b_plus);
-    trial_pass(h_minus, b_minus);
+    trial_pass(h_probe, b_probe);
 
     // Phase 3: arm and take one Newton iteration per active corner.
     for (const auto& st : group) {
       if (st->machine->done()) continue;
       for (std::size_t j = 0; j < st->packed_cores.size(); ++j) {
         const std::size_t l = st->lane_of_core[j];
-        st->packed_cores[j]->arm_trial(b_at[l], b_plus[l], b_minus[l], di[l]);
+        st->packed_cores[j]->arm_trial(b_at[l], b_probe[l]);
       }
       st->machine->advance();
     }

@@ -22,9 +22,10 @@
 //
 // Packing (the perf tentpole): corners share a topology, so the lockstep
 // group inside one chunk steps together — before every Newton iteration the
-// runner reads each machine's iterate, evaluates ALL their JaInductor trial
-// points (3 per core: at, +di, -di) as one mag::TimelessJaBatch block, and
-// arms the inductors so their stamps consume the batched flux densities.
+// runner reads each machine's iterate, evaluates ALL their JaInductor
+// event-map points (2 per core: the iterate's field and its one-sided
+// probe, TimelessJa::event_probe_field) as two mag::TimelessJaBatch passes,
+// and arms the inductors so their stamps consume the batched flux densities.
 // With BatchMath::kExact the SoA lanes are bitwise-identical to the scalar
 // model, so kPackedExact equals kScalar equals a direct ckt::run_transient —
 // verified down to the last waveform bit by the tests. Cores whose config
@@ -62,8 +63,8 @@ struct Probe {
   enum class Kind {
     kNodeVoltage,      ///< target = node name ("0"/"gnd" probe the reference)
     kBranchCurrent,    ///< target = device name (its first branch current)
-    kCoreFluxDensity,  ///< target = JaInductor name (committed B) [T]
-    kCoreField,        ///< target = JaInductor name (committed H) [A/m]
+    kCoreFluxDensity,  ///< target = JA inductor/transformer: committed B [T]
+    kCoreField,        ///< target = JA inductor/transformer: committed H [A/m]
   };
 
   Kind kind = Kind::kNodeVoltage;

@@ -25,6 +25,10 @@
 //   .tran <dt_max> <t_end>
 //   .end                                        (optional)
 //
+// A Y/T card's dhmax= is stored in the core's TimelessConfig, but it does
+// not gate a circuit core: every accepted step commits one field event
+// (TimelessJa::apply_event).
+//
 // Node "0" (or gnd/GND) is ground. Unknown cards and malformed values are
 // reported with line numbers; parsing is all-or-nothing.
 #pragma once

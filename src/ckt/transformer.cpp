@@ -1,7 +1,5 @@
 #include "ckt/transformer.hpp"
 
-#include <cmath>
-
 namespace ferro::ckt {
 
 JaTransformer::JaTransformer(std::string name, NodeId pa, NodeId pb, NodeId sa,
@@ -52,17 +50,14 @@ void JaTransformer::stamp(Stamper& s, const EvalContext& ctx) {
   const double ip_k = s.i(brp);
   const double is_k = s.i(brs);
   const double h_k = field_at(ip_k, is_k);
-  const double b_k = model_.flux_density_at(h_k);
+  // The core's event map from the committed state, at h_k and one probe
+  // point (see JaInductor).
+  const double b_k = model_.event_flux_density_at(h_k);
+  const double db_dh = mag::TimelessJa::event_slope(
+      h_k, b_k,
+      model_.event_flux_density_at(mag::TimelessJa::event_probe_field(h_k)));
   const double lambda_p_k = np * geometry_.area * b_k;
   const double lambda_s_k = ns_ * geometry_.area * b_k;
-
-  // Differential permeability across the committed state (central diff,
-  // spanning the event threshold like JaInductor).
-  const double dh = std::max(1.5 * model_.config().dhmax,
-                             1e-6 * (1.0 + std::fabs(h_k)));
-  const double db_dh = (model_.flux_density_at(h_k + dh) -
-                        model_.flux_density_at(h_k - dh)) /
-                       (2.0 * dh);
 
   // d(lambda_w)/d(i_u) = N_w * A * dB/dH * N_u / l
   const double common = geometry_.area * db_dh / geometry_.path_length;
@@ -99,7 +94,7 @@ void JaTransformer::commit(const EvalContext& ctx, std::span<const double> x) {
   const double ip = x[ctx.node_count + brp];
   const double is = x[ctx.node_count + brp + 1];
 
-  model_.apply(field_at(ip, is));
+  model_.apply_event(field_at(ip, is));
   const double b = model_.flux_density();
   lambda_p_prev_ = static_cast<double>(geometry_.turns) * geometry_.area * b;
   lambda_s_prev_ = ns_ * geometry_.area * b;

@@ -3,7 +3,9 @@
 // Both windings magnetise the same core: H = (Np*ip + Ns*is)/l. Winding
 // equations are vp = d(lambda_p)/dt, vs = d(lambda_s)/dt with
 // lambda_p = Np*A*B(H), lambda_s = Ns*A*B(H). The shared B(H) couples the
-// two branch rows through the core's differential permeability.
+// two branch rows through the core's differential permeability. As in
+// JaInductor, B(H) is the core's event map and an accepted step commits
+// exactly that event.
 #pragma once
 
 #include "ckt/device.hpp"

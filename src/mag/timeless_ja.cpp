@@ -106,10 +106,10 @@ void TimelessJa::integrate_extension(const Lane& lane, double h_target,
 }
 
 void TimelessJa::advance(TimelessState& state, TimelessStats& stats,
-                         double& last_slope, double h) const {
+                         double& last_slope, double h, double threshold) const {
   const Lane lane{*this, state, stats, last_slope};
   if (config_.scheme == HIntegrator::kForwardEuler) {
-    detail::apply_sample(lane, h, config_.dhmax, config_.substep_max,
+    detail::apply_sample(lane, h, threshold, config_.substep_max,
                          detail::EulerStep{});
     return;
   }
@@ -117,21 +117,34 @@ void TimelessJa::advance(TimelessState& state, TimelessStats& stats,
                                      double h_row, double dh) {
     integrate_extension(l, h_row, dh);
   };
-  detail::apply_sample(lane, h, config_.dhmax, config_.substep_max,
+  detail::apply_sample(lane, h, threshold, config_.substep_max,
                        extension_step);
 }
 
 double TimelessJa::apply(double h) {
-  advance(state_, stats_, last_slope_, h);
+  advance(state_, stats_, last_slope_, h, config_.dhmax);
   return state_.m_total;
 }
 
-double TimelessJa::flux_density_at(double h) const {
+double TimelessJa::apply_event(double h) {
+  advance(state_, stats_, last_slope_, h, detail::kEveryCallAnEvent);
+  return state_.m_total;
+}
+
+double TimelessJa::trial_flux_density(double h, double threshold) const {
   TimelessState state = state_;
   TimelessStats stats = stats_;
   double last_slope = last_slope_;
-  advance(state, stats, last_slope, h);
+  advance(state, stats, last_slope, h, threshold);
   return util::kMu0 * (params_.ms * state.m_total + state.present_h);
+}
+
+double TimelessJa::flux_density_at(double h) const {
+  return trial_flux_density(h, config_.dhmax);
+}
+
+double TimelessJa::event_flux_density_at(double h) const {
+  return trial_flux_density(h, detail::kEveryCallAnEvent);
 }
 
 double TimelessJa::magnetisation() const { return params_.ms * state_.m_total; }

@@ -20,6 +20,7 @@
 // field increments.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 #include "mag/anhysteretic.hpp"
@@ -110,6 +111,34 @@ class TimelessJa {
   /// an update touches, not the whole model.
   [[nodiscard]] double flux_density_at(double h) const;
 
+  /// Commits h as one field event whatever its distance from the anchor,
+  /// zero included (detail::kEveryCallAnEvent), then returns the normalised
+  /// total magnetisation. The circuit devices commit each accepted step with it:
+  /// in a circuit, an accepted step is the event. config().dhmax is not
+  /// consulted.
+  double apply_event(double h);
+
+  /// Flux density B [T] apply_event(h) would commit, without changing the
+  /// model, bit for bit. Seen from the committed state this event map is
+  /// continuous and monotone through the anchor, where flux_density_at
+  /// jumps at |h - anchor| = dhmax; beyond dhmax the two agree. It is the
+  /// map circuit Newton linearises.
+  [[nodiscard]] double event_flux_density_at(double h) const;
+
+  /// The second point of the one-sided difference the circuit devices take
+  /// on the event map at h: h + 1e-6 * (1 + |h|) [A/m]. The Monte-Carlo
+  /// packer evaluates the same two points.
+  [[nodiscard]] static double event_probe_field(double h) {
+    return h + 1e-6 * (1.0 + std::fabs(h));
+  }
+
+  /// dB/dH [T/(A/m)] of the event map at h from its values there (`b_at`)
+  /// and at event_probe_field(h) (`b_probe`).
+  [[nodiscard]] static double event_slope(double h, double b_at,
+                                          double b_probe) {
+    return (b_probe - b_at) / (event_probe_field(h) - h);
+  }
+
   /// The last slope dm/dH used [1/(A/m)], after clamping (0 until the first
   /// field event). Normalised: multiply by Ms for dM/dH.
   [[nodiscard]] double last_slope() const { return last_slope_; }
@@ -140,10 +169,14 @@ class TimelessJa {
   struct Lane;
 
   /// The whole of apply(h) on the cursor (state, stats, last_slope): the
-  /// shared update with this model's constants and integration scheme.
-  /// apply() binds the members, flux_density_at() local copies.
+  /// shared update with this model's constants and integration scheme,
+  /// firing events on |h - anchor| > threshold. apply()/apply_event() bind
+  /// the members, the *_at() probes local copies.
   void advance(TimelessState& state, TimelessStats& stats, double& last_slope,
-               double h) const;
+               double h, double threshold) const;
+
+  /// B after advance(h, threshold) on a copy of the state.
+  [[nodiscard]] double trial_flux_density(double h, double threshold) const;
 
   /// One Integral() step of the Heun/RK4 extension schemes over
   /// [h_target-dh, h_target] (Forward Euler is the shared EulerStep).

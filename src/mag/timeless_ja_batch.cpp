@@ -176,6 +176,7 @@ std::size_t TimelessJaBatch::add_lane(const JaParameters& params,
   one_pc_alpha_ms_.push_back(reference.one_pc_alpha_ms());
   ms_.push_back(params.ms);
   dhmax_.push_back(config.dhmax);
+  events_.push_back(detail::kEveryCallAnEvent);
   kind_.push_back(params.kind);
   clamp_slope_.push_back(config.clamp_negative_slope ? 1.0 : 0.0);
   clamp_direction_.push_back(config.clamp_direction ? 1.0 : 0.0);
@@ -243,7 +244,8 @@ void TimelessJaBatch::dispatch_fast_rect(AnhystereticKind kind,
                                          const double* const* h,
                                          const double* const* dh,
                                          const std::size_t* len,
-                                         BhPoint* const* out) {
+                                         BhPoint* const* out,
+                                         const double* threshold) {
   detail::FastRunArgs args;
   args.begin = begin;
   args.end = end;
@@ -259,7 +261,7 @@ void TimelessJaBatch::dispatch_fast_rect(AnhystereticKind kind,
   args.inv_a = inv_a_.data();
   args.inv_a2 = inv_a2_.data();
   args.blend = blend_.data();
-  args.dhmax = dhmax_.data();
+  args.dhmax = threshold;
   args.clamp_slope = clamp_slope_.data();
   args.clamp_direction = clamp_direction_.data();
   args.m_irr = m_irr_.data();
@@ -292,36 +294,45 @@ void TimelessJaBatch::fold_fast_counters(std::size_t i,
 }
 
 template <bool kFastMath>
-void TimelessJaBatch::step_lane(std::size_t i, double h) {
+void TimelessJaBatch::step_lane(std::size_t i, double h,
+                                const double* threshold) {
   if constexpr (kFastMath) {
     const double* stream = &h;
     dispatch_fast_rect(kind_[i], i, i + 1, 0, 1, &stream, nullptr, nullptr,
-                       nullptr);
+                       nullptr, threshold);
     present_h_[i] = h;
     ++stats_[i].samples;
     fold_fast_counters(i);
     return;
   }
 
-  // The scalar model's apply(), restricted to supports(): Forward Euler,
-  // no sub-stepping.
-  detail::apply_sample(ExactLane{*this, i}, h, dhmax_[i], 0.0,
+  // The scalar model's apply()/apply_event(), restricted to supports():
+  // Forward Euler, no sub-stepping.
+  detail::apply_sample(ExactLane{*this, i}, h, threshold[i], 0.0,
                        detail::EulerStep{});
 }
 
 void TimelessJaBatch::apply(const double* h) {
+  apply_with(h, dhmax_.data());
+}
+
+void TimelessJaBatch::apply_event(const double* h) {
+  apply_with(h, events_.data());
+}
+
+void TimelessJaBatch::apply_with(const double* h, const double* threshold) {
   if (math_ == BatchMath::kFast) {
-    for (std::size_t i = 0; i < n_; ++i) step_lane<true>(i, h[i]);
+    for (std::size_t i = 0; i < n_; ++i) step_lane<true>(i, h[i], threshold);
   } else {
-    for (std::size_t i = 0; i < n_; ++i) step_lane<false>(i, h[i]);
+    for (std::size_t i = 0; i < n_; ++i) step_lane<false>(i, h[i], threshold);
   }
 }
 
 void TimelessJaBatch::apply_all(double h) {
   if (math_ == BatchMath::kFast) {
-    for (std::size_t i = 0; i < n_; ++i) step_lane<true>(i, h);
+    for (std::size_t i = 0; i < n_; ++i) step_lane<true>(i, h, dhmax_.data());
   } else {
-    for (std::size_t i = 0; i < n_; ++i) step_lane<false>(i, h);
+    for (std::size_t i = 0; i < n_; ++i) step_lane<false>(i, h, dhmax_.data());
   }
 }
 
@@ -341,7 +352,7 @@ void TimelessJaBatch::run_exact(const std::vector<const wave::HSweep*>& sweeps,
       const std::vector<double>& hs = sweeps[i]->h;
       if (j >= hs.size()) continue;
       const double h = hs[j];
-      step_lane<false>(i, h);
+      step_lane<false>(i, h, dhmax_.data());
       const double m = ms_[i] * m_total_[i];
       curves[i].append(h, m, util::kMu0 * (m + h));
     }
@@ -382,7 +393,7 @@ void TimelessJaBatch::run_fast(const std::vector<const wave::HSweep*>& sweeps,
     const AnhystereticKind kind = kind_[i];
     while (i < n_ && kind_[i] == kind) ++i;
     dispatch_fast_rect(kind, begin, i, 0, max_len, h_ptr.data() + begin,
-                       nullptr, len.data(), out.data());
+                       nullptr, len.data(), out.data(), dhmax_.data());
   }
 
   curves.clear();
@@ -442,7 +453,8 @@ void TimelessJaBatch::run_traces_fast(
     const AnhystereticKind kind = kind_[i];
     while (i < n_ && kind_[i] == kind) ++i;
     dispatch_fast_rect(kind, begin, i, 0, max_len, h_ptr.data() + begin,
-                       dh_ptr.data() + begin, len.data(), out.data());
+                       dh_ptr.data() + begin, len.data(), out.data(),
+                       dhmax_.data());
   }
 
   for (std::size_t lane = 0; lane < n_; ++lane) {

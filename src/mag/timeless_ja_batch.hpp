@@ -84,6 +84,11 @@ class TimelessJaBatch {
   /// One lockstep step: lane i applies field h[i] (h has lanes() entries).
   void apply(const double* h);
 
+  /// One lockstep step in which every lane commits h[i] as a field event,
+  /// whatever its distance from the anchor: TimelessJa::apply_event per
+  /// lane (bitwise at kExact).
+  void apply_event(const double* h);
+
   /// One lockstep step with a field sample shared by every lane.
   void apply_all(double h);
 
@@ -129,7 +134,7 @@ class TimelessJaBatch {
   /// the lane-side twin of TimelessJa::set_state. The circuit Monte-Carlo
   /// packer rewinds its trial lanes to each device's committed state before
   /// every batched evaluation, exactly as the scalar stamp probes the
-  /// committed model with TimelessJa::flux_density_at. (last_slope is
+  /// committed model with TimelessJa::event_flux_density_at. (last_slope is
   /// untouched: a step never reads it.)
   void set_state(std::size_t lane, const TimelessState& s);
   [[nodiscard]] const TimelessStats& stats(std::size_t lane) const {
@@ -146,8 +151,13 @@ class TimelessJaBatch {
   /// Lane i as a lane of the shared update (mag/timeless_ja_step.hpp).
   struct ExactLane;
 
+  /// Lane i applies h, firing events on |h - anchor| > threshold[i]
+  /// (absolute-lane indexed: dhmax_ or events_).
   template <bool kFastMath>
-  void step_lane(std::size_t i, double h);
+  void step_lane(std::size_t i, double h, const double* threshold);
+
+  /// apply()/apply_event(): every lane steps with its threshold.
+  void apply_with(const double* h, const double* threshold);
 
   void run_exact(const std::vector<const wave::HSweep*>& sweeps,
                  std::vector<BhCurve>& curves);
@@ -165,10 +175,12 @@ class TimelessJaBatch {
   /// of their vector groups as they finish; `dh` switches the pass to the
   /// planner-trace row program. When `out` is non-null, sample j of lane i
   /// is recorded into out[i][j] directly from the pass's registers.
+  /// Threshold mode fires events on |h - anchor| > threshold[i].
   void dispatch_fast_rect(AnhystereticKind kind, std::size_t begin,
                           std::size_t end, std::size_t j0, std::size_t j1,
                           const double* const* h, const double* const* dh,
-                          const std::size_t* len, BhPoint* const* out);
+                          const std::size_t* len, BhPoint* const* out,
+                          const double* threshold);
 
   /// Folds the SoA event counters written by the FastMath pass into the
   /// per-lane TimelessStats and clears them. Threshold mode: one
@@ -196,6 +208,7 @@ class TimelessJaBatch {
   std::vector<double> blend_;
   std::vector<double> ms_;
   std::vector<double> dhmax_;
+  std::vector<double> events_;  ///< kEveryCallAnEvent per lane (apply_event)
   std::vector<AnhystereticKind> kind_;
   std::vector<double> clamp_slope_;
   std::vector<double> clamp_direction_;

@@ -128,6 +128,13 @@ inline void expand_sample(double h, double& anchor, double dhmax,
   row(h, 0.0);
 }
 
+/// The threshold that makes every sample an event, a zero-width one
+/// included (expand_sample fires on |h - anchor| > threshold): the event
+/// map of TimelessJa::apply_event. A zero-width event is two refreshes, the
+/// limit of a vanishing step, so B(h) seen from a committed state is
+/// continuous through the anchor; beyond dhmax it is the paper's map.
+inline constexpr double kEveryCallAnEvent = -1.0;
+
 /// One row of the program: refresh() at h and, when dh != 0, one
 /// Integral() step of width dh through step(lane, man, h, dh).
 template <class Lane, class Step>

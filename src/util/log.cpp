@@ -1,11 +1,12 @@
 #include "util/log.hpp"
 
+#include <atomic>
 #include <cstdio>
 
 namespace ferro::util {
 
 namespace {
-LogLevel g_level = LogLevel::kWarning;
+std::atomic<LogLevel> g_level{LogLevel::kWarning};
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -19,12 +20,14 @@ const char* level_name(LogLevel level) {
 }
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level = level; }
+void set_log_level(LogLevel level) {
+  g_level.store(level, std::memory_order_relaxed);
+}
 
-LogLevel log_level() { return g_level; }
+LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
 
 void log(LogLevel level, std::string_view component, std::string_view message) {
-  if (level < g_level) return;
+  if (level < log_level()) return;
   std::fprintf(stderr, "[%s] %.*s: %.*s\n", level_name(level),
                static_cast<int>(component.size()), component.data(),
                static_cast<int>(message.size()), message.data());

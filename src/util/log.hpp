@@ -1,9 +1,10 @@
 // Lightweight leveled logger.
 //
 // Defaults to Warning so simulations stay quiet; tests and examples raise
-// the level when they want progress output. Not thread-safe by design —
-// the simulators here are single-threaded (like the SystemC kernel the
-// paper targets).
+// the level when they want progress output. Thread-safe: pool workers (the
+// circuit Monte-Carlo corners among them) log while another thread may set
+// the level. The level is an atomic read with relaxed ordering, and each
+// message is one stdio call, so lines never interleave.
 #pragma once
 
 #include <string_view>

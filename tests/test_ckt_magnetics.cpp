@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "ckt/diode.hpp"
 #include "ckt/engine.hpp"
 #include "ckt/ja_inductor.hpp"
 #include "ckt/netlist.hpp"
@@ -32,7 +33,7 @@ fm::CoreGeometry small_core() {
 
 fm::TimelessConfig core_config() {
   fm::TimelessConfig cfg;
-  cfg.dhmax = 5.0;  // fine threshold for smooth circuit coupling
+  cfg.dhmax = 5.0;  // reported by the config; circuit cores ignore it
   return cfg;
 }
 
@@ -269,6 +270,47 @@ TEST(Transformer, LoadCurrentReflectsToPrimary) {
   EXPECT_GT(heavy, 1.5 * light);  // loading the secondary loads the primary
 }
 
+TEST(Transformer, CommittedFluxTracksVoltSeconds) {
+  // An ideal source across the primary fixes its flux linkage: the
+  // trapezoidal sum of v_p must equal Np*A*(B(t) - B(0)) at every accepted
+  // step, which holds only when each commit lands on the point Newton
+  // converged on. A commit that re-evaluates a different map drifts the
+  // core into saturation instead.
+  fk::Circuit ckt;
+  const auto p = ckt.node("p");
+  const auto s = ckt.node("s");
+  ckt.add<fk::VoltageSource>("V", p, fk::kGround,
+                             std::make_shared<fw::Sine>(1.5, 50.0));
+  const fm::CoreGeometry geom = small_core();
+  auto& xfmr = ckt.add<fk::JaTransformer>("T", p, fk::kGround, s, fk::kGround,
+                                          geom, 50, soft_params(),
+                                          soft_config());
+  ckt.add<fk::Resistor>("Rload", s, fk::kGround, 50.0);
+
+  fk::TransientOptions options;
+  options.t_end = 0.04;
+  options.dt_initial = 1e-6;
+  options.dt_max = 2e-5;
+  // Peak-to-peak linkage of the 1.5 V, 50 Hz drive.
+  const double swing = 2.0 * 1.5 / (2.0 * ferro::util::kPi * 50.0);
+  double volt_seconds = 0.0, prev_t = 0.0, prev_v = 0.0;
+  double lambda_start = 0.0, worst = 0.0;
+  bool first = true;
+  ASSERT_TRUE(fk::run_transient(ckt, options, [&](const fk::Solution& sol) {
+    const double lambda = geom.linkage_from_b(xfmr.flux_density());
+    if (first) {
+      lambda_start = lambda;
+      first = false;
+    } else {
+      volt_seconds += 0.5 * (sol.v(p) + prev_v) * (sol.t - prev_t);
+    }
+    worst = std::max(worst, std::fabs(lambda - lambda_start - volt_seconds));
+    prev_t = sol.t;
+    prev_v = sol.v(p);
+  }).ok());
+  EXPECT_LT(worst, 0.01 * swing);
+}
+
 TEST(Transformer, CoreStateExposed) {
   fk::Circuit ckt;
   const auto p = ckt.node("p");
@@ -288,4 +330,80 @@ TEST(Transformer, CoreStateExposed) {
   EXPECT_NE(xfmr.flux_density(), 0.0);
   EXPECT_NE(xfmr.field(), 0.0);
   EXPECT_NE(xfmr.primary_current(), 0.0);
+}
+
+namespace {
+
+/// Every accepted step is one field event of an event map that is
+/// continuous through the committed anchor, so Newton has a root to
+/// converge on: no step may stall at the iteration cap and be rejected.
+void expect_convergence_contract(const fk::CircuitStats& stats) {
+  ASSERT_GT(stats.steps_accepted, 0u);
+  EXPECT_EQ(stats.steps_rejected, 0u);
+  EXPECT_EQ(stats.hard_failures, 0u);
+  EXPECT_LE(static_cast<double>(stats.newton_iterations) /
+                static_cast<double>(stats.steps_accepted),
+            3.5);
+}
+
+fk::TransientOptions half_cycle() {
+  fk::TransientOptions options;
+  options.t_end = 0.01;
+  options.dt_initial = 1e-6;
+  options.dt_max = 2e-5;
+  return options;
+}
+
+}  // namespace
+
+TEST(ConvergenceContract, SineResistorInductor) {
+  // A sine switched onto R + JA inductor: the inrush half cycle drives the
+  // core from virgin into saturation.
+  fk::Circuit ckt;
+  const auto in = ckt.node("in");
+  const auto out = ckt.node("out");
+  ckt.add<fk::VoltageSource>("V", in, fk::kGround,
+                             std::make_shared<fw::Sine>(7.0, 50.0));
+  ckt.add<fk::Resistor>("R", in, out, 1.0);
+  auto& core = ckt.add<fk::JaInductor>("L", out, fk::kGround, small_core(),
+                                       fm::paper_parameters(), core_config());
+  fk::CircuitStats stats;
+  double peak = 0.0;
+  ASSERT_TRUE(fk::run_transient(ckt, half_cycle(),
+                                [&](const fk::Solution&) {
+                                  peak = std::max(peak, core.current());
+                                },
+                                &stats)
+                  .ok());
+  expect_convergence_contract(stats);
+  EXPECT_GT(peak, 5.0);  // the inrush peak, ~6 A
+  EXPECT_LT(peak, 7.0);
+}
+
+TEST(ConvergenceContract, TransformerDiodeRc) {
+  // A sine-driven transformer feeding a diode and an RC load: the diode
+  // switches while the core cycles.
+  fk::Circuit ckt;
+  const auto in = ckt.node("in");
+  const auto p = ckt.node("p");
+  const auto s = ckt.node("s");
+  const auto out = ckt.node("out");
+  ckt.add<fk::VoltageSource>("V", in, fk::kGround,
+                             std::make_shared<fw::Sine>(1.5, 50.0));
+  ckt.add<fk::Resistor>("R1", in, p, 0.05);
+  ckt.add<fk::JaTransformer>("T", p, fk::kGround, s, fk::kGround,
+                             small_core(), 50, soft_params(), soft_config());
+  ckt.add<fk::Diode>("D", s, out, 1e-12);
+  ckt.add<fk::Capacitor>("C", out, fk::kGround, 100e-6, 0.0);
+  ckt.add<fk::Resistor>("R2", out, fk::kGround, 100.0);
+  fk::CircuitStats stats;
+  double v_peak = 0.0;
+  ASSERT_TRUE(fk::run_transient(ckt, half_cycle(),
+                                [&](const fk::Solution& sol) {
+                                  v_peak = std::max(v_peak, sol.v(out));
+                                },
+                                &stats)
+                  .ok());
+  expect_convergence_contract(stats);
+  EXPECT_GT(v_peak, 0.05);  // the capacitor charged through the diode
 }

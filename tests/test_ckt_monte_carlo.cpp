@@ -17,6 +17,7 @@
 #include "ckt/rlc.hpp"
 #include "ckt/scatter.hpp"
 #include "ckt/sources.hpp"
+#include "ckt/transformer.hpp"
 #include "wave/standard.hpp"
 
 namespace fk = ferro::ckt;
@@ -342,6 +343,67 @@ TEST(MonteCarlo, UnresolvableProbeFailsTheCornerOnly) {
   for (const auto& r : results) {
     EXPECT_EQ(r.error.code, fe::ErrorCode::kInvalidScenario);
   }
+}
+
+namespace {
+
+/// A loaded transformer corner: its core is probed by name like an
+/// inductor's, and it has no packable core.
+void build_transformer_corner(const fk::CornerView& view,
+                              fk::Circuit& circuit) {
+  const auto p = circuit.node("p");
+  const auto s = circuit.node("s");
+  circuit.add<fk::VoltageSource>("V", p, fk::kGround,
+                                 std::make_shared<fw::Sine>(1.5, 50.0));
+  fm::TimelessConfig config;
+  config.dhmax = 0.5;
+  fm::JaParameters params = fm::find_material("grain-oriented-si")->params;
+  params.ms = view.value("t1.ms", params.ms);
+  circuit.add<fk::JaTransformer>("T1", p, fk::kGround, s, fk::kGround,
+                                 fm::CoreGeometry{}, 50, params, config);
+  circuit.add<fk::Resistor>("Rload", s, fk::kGround, 1e3);
+}
+
+}  // namespace
+
+TEST(MonteCarlo, CoreProbesResolveOnTransformers) {
+  fk::ScatterSpec spec;
+  spec.params = {{"t1.ms", 0.10, fk::ScatterKind::kNormal}};
+  const fk::CornerSampler sampler(spec, 11);
+  fk::MonteCarloOptions options;
+  options.corners = 2;
+  options.transient.t_end = 4e-3;
+  options.transient.dt_initial = 1e-6;
+  options.transient.dt_max = 2e-5;
+  options.record_waveforms = true;
+  options.probes = {{fk::Probe::Kind::kCoreFluxDensity, "t1"},
+                    {fk::Probe::Kind::kCoreField, "T1"}};
+  const auto results =
+      fk::MonteCarlo(sampler, build_transformer_corner).run(options);
+  ASSERT_EQ(results.size(), 2u);
+  for (const auto& r : results) ASSERT_TRUE(r.ok()) << r.error;
+
+  // The probes read the transformer's committed core, bit for bit.
+  fk::Circuit circuit;
+  const auto draws = sampler.corner(1);
+  build_transformer_corner(fk::CornerView(spec, draws, 1), circuit);
+  const auto* core =
+      dynamic_cast<const fk::JaTransformer*>(circuit.devices()[1].get());
+  ASSERT_NE(core, nullptr);
+  std::vector<double> b_wave, h_wave;
+  ASSERT_TRUE(fk::run_transient(circuit, options.transient,
+                                [&](const fk::Solution&) {
+                                  b_wave.push_back(core->flux_density());
+                                  h_wave.push_back(core->field());
+                                })
+                  .ok());
+  const fk::CornerResult& mc = results[1];
+  ASSERT_EQ(mc.waveforms[0].size(), b_wave.size());
+  for (std::size_t k = 0; k < b_wave.size(); ++k) {
+    ASSERT_EQ(mc.waveforms[0][k], b_wave[k]);
+    ASSERT_EQ(mc.waveforms[1][k], h_wave[k]);
+  }
+  EXPECT_GT(mc.probes[0].abs_peak, 0.1);  // the core actually magnetised
 }
 
 TEST(MonteCarlo, InvalidTransientOptionsRejectEveryCorner) {

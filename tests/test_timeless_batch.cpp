@@ -193,6 +193,38 @@ TEST(TimelessJaBatch, ApplyAllMatchesPerLaneApply) {
   }
 }
 
+TEST(TimelessJaBatch, ApplyEventMatchesScalarApplyEvent) {
+  // The circuit packer's commit rule: every sample is an event. Exact lanes
+  // equal the scalar model bit for bit; fast lanes stay close to them.
+  // Samples 1 A/m apart sit far below every fixture's dhmax.
+  const auto lanes = lane_fixtures();
+  fm::TimelessJaBatch exact(fm::BatchMath::kExact);
+  fm::TimelessJaBatch fast(fm::BatchMath::kFast);
+  std::vector<fm::TimelessJa> scalar;
+  for (const auto& lane : lanes) {
+    exact.add_lane(lane.params, lane.config);
+    fast.add_lane(lane.params, lane.config);
+    scalar.emplace_back(lane.params, lane.config);
+  }
+  std::vector<double> h(lanes.size());
+  for (int j = 1; j <= 400; ++j) {
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      h[i] = (j <= 300 ? 1.0 * j : 600.0 - 1.0 * j) * (1.0 + 0.1 * double(i));
+      scalar[i].apply_event(h[i]);
+    }
+    exact.apply_event(h.data());
+    fast.apply_event(h.data());
+  }
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    EXPECT_EQ(exact.flux_density(i), scalar[i].flux_density()) << "lane " << i;
+    EXPECT_EQ(exact.state(i).m_irr, scalar[i].state().m_irr) << "lane " << i;
+    expect_stats_eq(exact.stats(i), scalar[i].stats());
+    EXPECT_EQ(scalar[i].stats().field_events, 400u) << "lane " << i;
+    EXPECT_NEAR(fast.flux_density(i), scalar[i].flux_density(), 1e-6)
+        << "lane " << i;
+  }
+}
+
 TEST(TimelessJaBatch, ResetReturnsEveryLaneToTheVirginState) {
   fm::TimelessJaBatch batch;
   batch.add_lane(fm::paper_parameters());

@@ -170,9 +170,10 @@ TEST(TimelessJa, CopyIsIndependent) {
 }
 
 TEST(TimelessJa, FluxDensityAtMatchesCopyApplyAndLeavesTheModelAlone) {
-  // The non-committing trial probe must equal copy + apply + flux_density
+  // The non-committing trial probes must equal copy + apply + flux_density
   // bit for bit from a non-virgin state, for every scheme, both sub-step
-  // settings and all four clamp combinations.
+  // settings and all four clamp combinations: flux_density_at against
+  // apply, event_flux_density_at against apply_event.
   const auto bits_equal = [](const auto& a, const auto& b) {
     return std::memcmp(&a, &b, sizeof(a)) == 0;
   };
@@ -217,6 +218,12 @@ TEST(TimelessJa, FluxDensityAtMatchesCopyApplyAndLeavesTheModelAlone) {
             EXPECT_TRUE(bits_equal(got, want))
                 << where << " h=" << h << ": " << got << " vs " << want;
 
+            fm::TimelessJa event_copy = ja;
+            event_copy.apply_event(h);
+            EXPECT_TRUE(bits_equal(ja.event_flux_density_at(h),
+                                   event_copy.flux_density()))
+                << where << " event h=" << h;
+
             EXPECT_TRUE(bits_equal(ja.state(), state)) << where << " h=" << h;
             EXPECT_TRUE(bits_equal(ja.stats(), stats)) << where << " h=" << h;
             EXPECT_TRUE(bits_equal(ja.last_slope(), last_slope))
@@ -225,6 +232,56 @@ TEST(TimelessJa, FluxDensityAtMatchesCopyApplyAndLeavesTheModelAlone) {
         }
       }
     }
+  }
+}
+
+TEST(TimelessJa, EventMapIsContinuousMonotoneAndCommitsWhatItProbes) {
+  // From a committed anchor at 400 A/m (a 4 A/m ramp, dhmax = 5), the
+  // paper's map jumps where |h - anchor| crosses dhmax; the event map the
+  // circuit devices linearise does not.
+  fm::TimelessConfig cfg;
+  cfg.dhmax = 5.0;
+  fm::TimelessJa ja(fm::paper_parameters(), cfg);
+  for (int i = 1; i <= 100; ++i) ja.apply(4.0 * i);
+  ASSERT_EQ(ja.state().anchor_h, 400.0);
+
+  // The jump: 0.45 mT across a quarter A/m at the dhmax edge.
+  const double paper_edge = ja.flux_density_at(405.0);
+  const double paper_past = ja.flux_density_at(405.25);
+  EXPECT_NEAR(paper_edge, 0.043550, 5e-7);
+  EXPECT_NEAR(paper_past, 0.044004, 5e-7);
+
+  // The event map rises across the same quarter A/m like across the one
+  // before it, and is the paper's map once that one fires.
+  const double event_before = ja.event_flux_density_at(404.75);
+  const double event_edge = ja.event_flux_density_at(405.0);
+  const double event_past = ja.event_flux_density_at(405.25);
+  EXPECT_EQ(event_past, paper_past);
+  EXPECT_LT(event_past - event_edge, 1.5 * (event_edge - event_before));
+  EXPECT_LT(event_past - event_edge, 0.1 * (paper_past - paper_edge));
+
+  // Monotone through the anchor, and continuous at it.
+  double previous = ja.event_flux_density_at(390.0);
+  for (int j = 1; j <= 800; ++j) {
+    const double h = 390.0 + 0.025 * j;
+    const double b = ja.event_flux_density_at(h);
+    EXPECT_GT(b, previous) << "h=" << h;
+    previous = b;
+  }
+  const double at_anchor = ja.event_flux_density_at(400.0);
+  EXPECT_NEAR(ja.event_flux_density_at(400.0 - 1e-9), at_anchor, 1e-12);
+  EXPECT_NEAR(ja.event_flux_density_at(400.0 + 1e-9), at_anchor, 1e-12);
+
+  // Committing h leaves exactly the B the map gave at h, and the probe
+  // leaves the model alone.
+  for (const double h : {400.0, 400.5, 396.0, 405.0, 405.25, 380.0}) {
+    const fm::TimelessState before = ja.state();
+    const double probed = ja.event_flux_density_at(h);
+    EXPECT_EQ(std::memcmp(&before, &ja.state(), sizeof(before)), 0);
+    fm::TimelessJa committed = ja;
+    committed.apply_event(h);
+    const double got = committed.flux_density();
+    EXPECT_EQ(std::memcmp(&probed, &got, sizeof(got)), 0) << "h=" << h;
   }
 }
 

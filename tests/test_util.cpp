@@ -1,12 +1,15 @@
 // Unit tests for ferro::util — constants, strings, CSV, stats, interp, log.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <thread>
+#include <vector>
 
 #include "util/constants.hpp"
 #include "util/csv.hpp"
@@ -266,6 +269,37 @@ TEST(Log, LevelFiltering) {
   fu::log_info("test", "hidden");
   fu::log_warning("test", "hidden");
   fu::set_log_level(saved);
+}
+
+TEST(Log, ConcurrentLoggingAndLevelChanges) {
+  // Pool workers log while another thread moves the level; under TSan a
+  // plain global level is a data race.
+  const fu::LogLevel saved = fu::log_level();
+  fu::set_log_level(fu::LogLevel::kOff);
+  std::atomic<bool> started{false};
+  std::atomic<bool> stop{false};
+  std::thread setter([&] {
+    for (int i = 0; !stop.load(); ++i) {
+      fu::set_log_level(i % 2 == 0 ? fu::LogLevel::kError : fu::LogLevel::kOff);
+      started.store(true);
+    }
+  });
+  std::vector<std::thread> loggers;
+  for (int t = 0; t < 4; ++t) {
+    loggers.emplace_back([&] {
+      while (!started.load()) std::this_thread::yield();
+      for (int i = 0; i < 2000; ++i) {
+        fu::log_debug("test", "dropped");  // below kError and kOff
+        fu::log_warning("test", "dropped");
+        EXPECT_NE(fu::log_level(), fu::LogLevel::kDebug);
+      }
+    });
+  }
+  for (auto& t : loggers) t.join();
+  stop.store(true);
+  setter.join();
+  fu::set_log_level(saved);
+  EXPECT_EQ(fu::log_level(), saved);
 }
 
 TEST(StreamWriter, CsvRowsAreOnDiskBeforeTheWriterCloses) {
